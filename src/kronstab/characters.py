@@ -1,55 +1,55 @@
-"""Symmetric group character values by the Murnaghan-Nakayama rule."""
+"""Symmetric group character values by the Murnaghan-Nakayama rule.
+
+A shape is held as an ``int`` bitmask of its beta-numbers (first-column
+hook lengths): bit ``lam[i] + l - 1 - i`` is set for each part of a
+partition of length ``l``.  Removing a border strip of size k moves one
+set bit from position ``t + k`` down to a clear position ``t``; its sign
+is the parity of the set bits strictly between them.  A bit landing on
+position 0 stands for a zero part, so the low run of set bits is
+shifted out to keep one mask per partition (bit 0 always clear).
+"""
 
 from collections import defaultdict
 
-from .partitions import Partition, partitions_of, z_order  # noqa: F401
+from .partitions import Partition, check_partition
 
 # Memo tables keyed by degree (size of the remaining shape) so memory can
 # be reclaimed degree by degree between large runs.
-_memo: dict[int, dict[tuple[Partition, Partition], int]] = defaultdict(dict)
+_memo: dict[int, dict[tuple[int, Partition], int]] = defaultdict(dict)
 
 
-def _beta_set(lam: Partition) -> tuple[int, ...]:
-    """First-column hook lengths (beta-numbers) of ``lam``."""
+def beta_mask(lam: Partition) -> int:
+    """Bitmask of the beta-numbers of the partition ``lam``."""
     l = len(lam)
-    return tuple(lam[i] + (l - 1 - i) for i in range(l))
+    return sum(1 << (p + l - 1 - i) for i, p in enumerate(lam))
 
 
-def _from_beta(beta: tuple[int, ...]) -> Partition:
-    """Recover a partition from a strictly decreasing beta set."""
-    l = len(beta)
-    parts = tuple(b - (l - 1 - i) for i, b in enumerate(beta))
-    return tuple(p for p in parts if p > 0)
-
-
-def _mn(lam: Partition, rho: Partition, n: int) -> int:
-    """Character value with the parts of ``rho`` consumed largest first.
-
-    Removing a border strip of size k corresponds to lowering one
-    beta-number by k; the sign is (-1) to the number of beta-numbers
-    jumped over.
-    """
+def mn(mask: int, rho: Partition, n: int) -> int:
+    """Character value of the shape ``mask`` (of size ``n``) on the class
+    ``rho``, whose parts must be weakly decreasing; they are consumed
+    largest first."""
     if not rho:
         return 1
     table = _memo[n]
-    key = (lam, rho)
+    key = (mask, rho)
     hit = table.get(key)
     if hit is not None:
         return hit
     k = rho[0]
     rest = rho[1:]
-    beta = _beta_set(lam)
-    beta_set = set(beta)
     total = 0
-    for b in beta:
-        t = b - k
-        if t < 0 or t in beta_set:
-            continue
-        crossed = sum(1 for c in beta if t < c < b)
-        new_beta = tuple(sorted((beta_set - {b}) | {t}, reverse=True))
-        sub = _mn(_from_beta(new_beta), rest, n - k)
+    # Bits t with t + k set and t clear: the removable strips of size k.
+    free = (mask >> k) & ~mask
+    while free:
+        low = free & -free
+        free ^= low
+        top = low << k
+        new = mask ^ top ^ low
+        if low == 1:
+            new >>= (new ^ (new + 1)).bit_length() - 1
+        sub = mn(new, rest, n - k)
         if sub:
-            total += -sub if crossed % 2 else sub
+            total += -sub if (mask & (top - (low << 1))).bit_count() & 1 else sub
     table[key] = total
     return total
 
@@ -58,12 +58,15 @@ def character(lam: Partition, rho: Partition) -> int:
     """Irreducible character of the symmetric group: the value of the
     character of shape ``lam`` on the class of cycle type ``rho``.
 
-    Both arguments must be partitions of the same integer.
+    ``lam`` must be a partition; ``rho`` may list its positive parts in
+    any order.  Both must have the same size.
     """
+    lam = check_partition(lam)
+    rho = check_partition(sorted(rho, reverse=True))
     n = sum(lam)
     if n != sum(rho):
-        raise ValueError("shape and cycle type must have equal size")
-    return _mn(tuple(lam), tuple(sorted(rho, reverse=True)), n)
+        raise ValueError(f"shape {lam} and cycle type {rho} must have equal size")
+    return mn(beta_mask(lam), rho, n)
 
 
 def clear_character_cache(degree: int | None = None) -> None:

@@ -2,18 +2,14 @@
 
 Subcommands: kron, bound, dreal, plethysm, hyperoct, table.  Triples use
 "/" between partitions, ";" between the two halves of a double
-partition, "-" (or nothing) for the empty partition.  The KRONSTAB_THREADS
-environment variable sets the worker count for table evaluation; rows
-are computed in parallel and printed in order.
+partition, "-" (or nothing) for the empty partition.
 """
 
 import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .partitions import PartitionError, format_partition, parse_partition
 from .kronecker import kron
@@ -49,14 +45,6 @@ def _parse_double_triple(text: str):
             f"expected three '/'-separated double partitions, got {len(parts)}"
         )
     return tuple(parse_double_partition(p) for p in parts)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("KRONSTAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cmd_kron(args) -> int:
@@ -187,12 +175,7 @@ def cmd_table(args) -> int:
     if args.rows:
         wanted = {int(tok) for tok in args.rows.split(",")}
         rows = tuple(r for i, r in enumerate(rows, 1) if i in wanted)
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: evaluate_row(table, r), rows))
-    else:
-        results = [evaluate_row(table, r) for r in rows]
+    results = [evaluate_row(table, r) for r in rows]
     if args.format == "json":
         payload = {
             "table": table.table_id,

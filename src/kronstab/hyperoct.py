@@ -13,7 +13,7 @@ from math import comb
 
 from .partitions import Partition, PartitionError, check_partition, dim_sn, format_partition, parse_partition, partitions_of
 from .kronecker import kron
-from .lr import lr, schur_product_expand
+from .lr import lr
 
 DoublePartition = tuple[Partition, Partition]
 

@@ -2,12 +2,9 @@
 
 from math import factorial
 
-from .partitions import Partition, check_partition, partitions_of, z_order
-from .characters import character
-
-
-class ConsistencyError(ArithmeticError):
-    """An internal exactness check failed; the result would be wrong."""
+# ConsistencyError and character are re-exported for existing importers.
+from .partitions import ConsistencyError, Partition, check_partition, class_sizes
+from .characters import beta_mask, character, mn
 
 
 def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
@@ -25,20 +22,20 @@ def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     n = sum(alpha)
     if sum(beta) != n or sum(gamma) != n:
         raise ValueError("all three partitions must have the same size")
-    nfact = factorial(n)
     # Evaluate the cheapest shape first inside each class so a zero
     # character value skips the other two evaluations.
-    shapes = sorted((alpha, beta, gamma), key=len)
+    masks = [beta_mask(shape) for shape in sorted((alpha, beta, gamma), key=len)]
     total = 0
-    for rho in partitions_of(n):
-        prod = nfact // z_order(rho)
-        for shape in shapes:
-            c = character(shape, rho)
-            if c == 0:
-                prod = 0
+    for rho, size in class_sizes(n):
+        prod = size
+        for mask in masks:
+            c = mn(mask, rho, n)
+            if not c:
                 break
             prod *= c
-        total += prod
+        else:
+            total += prod
+    nfact = factorial(n)
     g, rem = divmod(total, nfact)
     if rem:
         raise ConsistencyError(

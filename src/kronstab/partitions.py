@@ -8,11 +8,14 @@ is well defined for every ``k >= 1``.
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Iterator
 
 
 class PartitionError(ValueError):
     """Raised for text that does not describe a partition."""
+
+
+class ConsistencyError(ArithmeticError):
+    """An internal exactness check failed; the result would be wrong."""
 
 
 Partition = tuple[int, ...]
@@ -138,8 +141,13 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def iter_partitions(n: int) -> Iterator[Partition]:
-    yield from partitions_of(n)
+@cache
+def class_sizes(n: int) -> tuple[tuple[Partition, int], ...]:
+    """Each cycle type ``rho`` of the symmetric group on ``n`` points with
+    the size ``n!/z(rho)`` of its conjugacy class, in the order of
+    ``partitions_of(n)``."""
+    nfact = factorial(n)
+    return tuple((rho, nfact // z_order(rho)) for rho in partitions_of(n))
 
 
 @cache
@@ -155,7 +163,8 @@ def dim_sn(lam: Partition) -> int:
         for j in range(row):
             hooks *= row - j + conj[j] - i - 1
     d, rem = divmod(factorial(n), hooks)
-    assert rem == 0
+    if rem:
+        raise ConsistencyError(f"hook product {hooks} does not divide {n}! for {lam}")
     return d
 
 
@@ -173,7 +182,8 @@ def dim_gl(lam: Partition, m: int) -> int:
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             prod *= Fraction(part_at(lam, i) - part_at(lam, j) + j - i, j - i)
-    assert prod.denominator == 1
+    if prod.denominator != 1:
+        raise ConsistencyError(f"Weyl dimension {prod} of {lam} for GL({m}) is not an integer")
     return int(prod)
 
 

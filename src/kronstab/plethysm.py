@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .partitions import Partition, check_partition, partitions_of, z_order
+from .partitions import ConsistencyError, Partition, check_partition, partitions_of, z_order
 from .characters import character
-from .kronecker import ConsistencyError
 
 DEGREE_CAP = 24
 

@@ -19,7 +19,7 @@ DIRECTIONS: dict[str, tuple[Partition, Partition, Partition]] = {
 }
 
 
-class CertificateViolationError(AssertionError):
+class CertificateViolationError(RuntimeError):
     """The sequence moved beyond the certified bound."""
 
 

@@ -1,7 +1,9 @@
 import math
 
-from kronstab.characters import character, clear_character_cache
-from kronstab.partitions import conjugate, dim_sn, partitions_of, z_order
+import pytest
+
+from kronstab.characters import _memo, beta_mask, character, clear_character_cache
+from kronstab.partitions import PartitionError, class_sizes, conjugate, dim_sn, partitions_of
 
 from oracles import character_oracle
 
@@ -13,29 +15,40 @@ def test_against_alternant_oracle():
                 assert character(lam, rho) == character_oracle(lam, rho)
 
 
+def test_against_alternant_oracle_degree_6():
+    # The oracle costs ~0.8 s on the classes of 6 with at most three parts;
+    # all eleven classes would take ~4 s.
+    for rho in partitions_of(6):
+        if len(rho) <= 3:
+            for lam in partitions_of(6):
+                assert character(lam, rho) == character_oracle(lam, rho), (lam, rho)
+
+
 def test_value_at_identity_is_dimension():
-    for n in range(1, 9):
+    for n in range(1, 21):
         one = (1,) * n
         for lam in partitions_of(n):
             assert character(lam, one) == dim_sn(lam)
 
 
 def test_row_orthogonality():
-    for n in range(2, 7):
+    for n in range(2, 13):
+        classes = class_sizes(n)
+        nfact = math.factorial(n)
+        assert sum(size for _, size in classes) == nfact
         ps = partitions_of(n)
+        values = {lam: [character(lam, rho) for rho, _ in classes] for lam in ps}
         for lam in ps:
             for mu in ps:
                 total = sum(
-                    (math.factorial(n) // z_order(rho))
-                    * character(lam, rho)
-                    * character(mu, rho)
-                    for rho in ps
+                    size * a * b
+                    for (_, size), a, b in zip(classes, values[lam], values[mu])
                 )
-                assert total == (math.factorial(n) if lam == mu else 0)
+                assert total == (nfact if lam == mu else 0), (lam, mu)
 
 
 def test_sign_twist():
-    for n in range(1, 7):
+    for n in range(1, 13):
         for lam in partitions_of(n):
             for rho in partitions_of(n):
                 sign = (-1) ** (n - len(rho))
@@ -56,3 +69,33 @@ def test_cache_eviction_preserves_values():
     assert character(lam, rho) == before
     clear_character_cache()
     assert character(lam, rho) == before
+
+
+def test_memo_keys_are_canonical():
+    # Strips ending on bit 0 leave zero parts; each shape must still have
+    # exactly one mask, so equal subproblems share one memo entry.
+    clear_character_cache()
+    for lam in partitions_of(8):
+        for rho in partitions_of(8):
+            character(lam, rho)
+    for degree, table in _memo.items():
+        masks = {beta_mask(lam) for lam in partitions_of(degree)}
+        assert {mask for mask, _ in table} <= masks, degree
+
+
+def test_cycle_type_in_any_order():
+    assert character((3, 1), (1, 2, 1)) == character((3, 1), (2, 1, 1)) == 1
+
+
+@pytest.mark.parametrize(
+    "lam, rho",
+    [((1, 2), (2, 1)), ((2,), (2, 0)), ((1.5, 1.5), (3,))],
+)
+def test_invalid_input_rejected(lam, rho):
+    with pytest.raises(PartitionError):
+        character(lam, rho)
+
+
+def test_size_mismatch_rejected():
+    with pytest.raises(ValueError):
+        character((2, 1), (2,))

@@ -116,8 +116,11 @@ def test_table_unknown_id(capsys):
     assert code == 2 and "unknown table id" in err
 
 
-def test_thread_count_env(capsys, monkeypatch):
-    monkeypatch.setenv("KRONSTAB_THREADS", "2")
+def test_table_rows_csv(capsys):
     code, out, _ = run(capsys, "table", "3.6.2", "--rows", "10,11", "--format", "csv")
     assert code == 0
-    assert out.splitlines()[1].startswith('"8,2')
+    assert out.splitlines() == [
+        "triple,D2,Dreal",
+        '"8,2 / 6,4 / 5,4,1",1,1',
+        '"6,6 / 8,4 / 6,4,2",0,0',
+    ]
