@@ -21,6 +21,7 @@ from .lr import lr, schur_product_expand
 from .plethysm import plethysm_coeff
 from .hyperoct import dim_wreath, hyperoct_coeff, parse_double_partition
 from .bounds import (
+    CERTIFIED,
     DegenerateTripleError,
     bound_D1,
     bound_D2,
@@ -30,11 +31,11 @@ from .bounds import (
     bound_DBOR2_improved,
     bound_Dm,
     bound_hyperoct,
+    bound_values,
 )
 from .stabilization import (
     DIRECTIONS,
     CertificateViolationError,
-    StabilizationQuery,
     StabilizationResult,
     d_real,
     empirical_scan,

@@ -6,20 +6,19 @@ first row ("murnaghan" family, direction ((1),(1),(1))) and the
 direction ((1,1),(1,1),(2)) ("squares" family).  Formula values are
 clamped at 0 since sequences are indexed by natural numbers.  Parts
 beyond a partition's length read as 0 throughout.
+
+``bound_values`` lists every bound of a family, and ``CERTIFIED`` is the
+one place that names the bound a family's certified index is read from.
 """
 
-from dataclasses import dataclass
 from itertools import permutations
 
-from .partitions import Partition, check_partition, part_at
+from .partitions import DoublePartition, Partition, check_partition, part_at
 
 
 class DegenerateTripleError(ValueError):
-    """No ordering of the triple satisfies the length preconditions.
-
-    Callers can answer such triples exactly: with two single-row
-    partitions the sequence is a constant Kronecker delta from d = 0.
-    """
+    """The triple, in the order given, fails a formula's length
+    preconditions."""
 
 
 def _ceil_half(x: int) -> int:
@@ -46,32 +45,27 @@ def bound_D1(
 ) -> int:
     """Bound for the murnaghan family from the one-box scenario.
 
-    With minimization, the least value over the six orderings of the
-    triple whose first two members have length at least 2; the fixed
-    ordering uses the arguments as given.
+    With minimization, the least value over the orderings of the triple
+    whose first two members have length at least 2, and 0 when no
+    ordering qualifies: at most one partition then has two or more rows,
+    so the sequence is a constant Kronecker delta from d = 0.  The fixed
+    ordering uses the arguments as given and raises
+    ``DegenerateTripleError`` when they fail the length preconditions.
     """
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     if not minimize_over_orderings:
         return _d1_fixed(lam, mu, nu)
-    best = None
-    for a, b, c in permutations((lam, mu, nu)):
-        if len(a) < 2 or len(b) < 2:
-            continue
-        v = _d1_fixed(a, b, c)
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise DegenerateTripleError("no ordering has two partitions of length >= 2")
-    return best
+    return min(
+        (_d1_fixed(a, b, c) for a, b, c in permutations((lam, mu, nu))
+         if len(a) >= 2 and len(b) >= 2),
+        default=0,
+    )
 
 
-def bound_D2(
-    lam: Partition, mu: Partition, nu: Partition,
-    minimize_over_swap: bool = False,
-) -> int:
+def bound_D2(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Bound for the squares family, with the branch structure on the
     lengths of the first two partitions (the formula is symmetric under
-    swapping them; the swap option exists for completeness)."""
+    swapping them)."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     n1, n2 = len(lam), len(mu)
     if n1 < 2 or n2 < 2:
@@ -92,29 +86,19 @@ def bound_D2(
         expr = m + part_at(lam, 3) + 2 * part_at(nu, 2) - part_at(nu, 2 * n1)
         for k in range(1, n1):
             expr += part_at(nu, k + 2)
-    val = max(0, _ceil_half(expr))
-    if minimize_over_swap:
-        val = min(val, bound_D2(mu, lam, nu, minimize_over_swap=False))
-    return val
+    return max(0, _ceil_half(expr))
 
 
-def bound_DB(
-    lam: Partition, mu: Partition, nu: Partition,
-    minimize_over_nu_choice: bool = True,
-) -> int:
-    """Converted external bound for the murnaghan family, optionally
-    minimized over which partition plays the third role (the formula is
-    symmetric in the other two)."""
+def bound_DB(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Converted external bound for the murnaghan family, minimized over
+    which partition plays the third role (the formula is symmetric in the
+    other two)."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
 
     def fixed(a, b, c):
         return max(0, sum(b) - part_at(a, 1) - part_at(b, 1) + part_at(c, 2))
 
-    if not minimize_over_nu_choice:
-        return fixed(lam, mu, nu)
-    return min(
-        fixed(lam, mu, nu), fixed(mu, nu, lam), fixed(nu, lam, mu)
-    )
+    return min(fixed(lam, mu, nu), fixed(mu, nu, lam), fixed(nu, lam, mu))
 
 
 def bound_DB_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -197,16 +181,11 @@ def bound_DBOR2_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
 def bound_Dm(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The best bound available for the murnaghan family: minimum of the
     reordered one-box bound and both improved converted bounds."""
-    try:
-        d1 = bound_D1(lam, mu, nu, minimize_over_orderings=True)
-    except DegenerateTripleError:
-        # two single-row partitions: the sequence is a Kronecker delta,
-        # constant from the start
-        return 0
-    return min(d1, bound_DB_improved(lam, mu, nu), bound_DBOR2_improved(lam, mu, nu))
-
-
-DoublePartition = tuple[Partition, Partition]
+    return min(
+        bound_D1(lam, mu, nu),
+        bound_DB_improved(lam, mu, nu),
+        bound_DBOR2_improved(lam, mu, nu),
+    )
 
 
 def bound_hyperoct(lam: DoublePartition, mu: DoublePartition, nu: DoublePartition) -> int:
@@ -233,38 +212,26 @@ def bound_hyperoct(lam: DoublePartition, mu: DoublePartition, nu: DoublePartitio
     return max(0, _ceil_half(expr))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Every bound computed for one triple, plus bookkeeping."""
-
-    family: str
-    triple: tuple[Partition, Partition, Partition]
-    values: tuple[tuple[str, int], ...]
-    notes: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.values)
+# The bound each family's certified stabilization index is read from.
+CERTIFIED = {"murnaghan": "Dm", "squares": "D2"}
 
 
-def murnaghan_report(lam: Partition, mu: Partition, nu: Partition) -> BoundReport:
-    notes = []
-    try:
-        d1 = bound_D1(lam, mu, nu, minimize_over_orderings=True)
-    except DegenerateTripleError:
-        d1 = 0
-        notes.append("degenerate triple: sequence constant from 0")
-    values = (
-        ("D1", d1),
-        ("DB", bound_DB(lam, mu, nu)),
-        ("DB_improved", bound_DB_improved(lam, mu, nu)),
-        ("DBOR2", bound_DBOR2(lam, mu, nu)),
-        ("DBOR2_improved", bound_DBOR2_improved(lam, mu, nu)),
-        ("Dm", bound_Dm(lam, mu, nu)),
-    )
-    return BoundReport("murnaghan", (lam, mu, nu), values, tuple(notes))
+def bound_values(family: str, lam, mu, nu) -> dict[str, int]:
+    """Every bound of a family for one triple, in display order.
 
-
-def squares_report(lam: Partition, mu: Partition, nu: Partition) -> BoundReport:
-    return BoundReport(
-        "squares", (lam, mu, nu), (("D2", bound_D2(lam, mu, nu)),)
-    )
+    The triple holds partitions, or double partitions for "hyperoct".
+    """
+    if family == "murnaghan":
+        return {
+            "D1": bound_D1(lam, mu, nu),
+            "DB": bound_DB(lam, mu, nu),
+            "DB_improved": bound_DB_improved(lam, mu, nu),
+            "DBOR2": bound_DBOR2(lam, mu, nu),
+            "DBOR2_improved": bound_DBOR2_improved(lam, mu, nu),
+            "Dm": bound_Dm(lam, mu, nu),
+        }
+    if family == "squares":
+        return {"D2": bound_D2(lam, mu, nu)}
+    if family == "hyperoct":
+        return {"D_hyperoct": bound_hyperoct(lam, mu, nu)}
+    raise ValueError(f"unknown bound family {family!r}")

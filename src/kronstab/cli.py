@@ -11,40 +11,26 @@ import io
 import json
 import sys
 
-from .partitions import PartitionError, format_partition, parse_partition
+from .partitions import PartitionError, parse_partition
 from .kronecker import kron
-from .lr import lr
 from .plethysm import plethysm_coeff
-from .hyperoct import hyperoct_coeff, parse_double_partition, format_double_partition
-from .bounds import (
-    BoundReport,
-    DegenerateTripleError,
-    bound_D1,
-    bound_D2,
-    bound_hyperoct,
-    murnaghan_report,
-    squares_report,
+from .hyperoct import SIZE_CAP, hyperoct_coeff, parse_double_partition
+from .bounds import CERTIFIED, bound_values
+from .stabilization import (
+    DIRECTIONS,
+    CertificateViolationError,
+    d_real,
+    empirical_scan,
 )
-from .stabilization import DIRECTIONS, d_real, empirical_scan
 from .fixtures import TABLES, RowResult, evaluate_row
 
 
-def _parse_triple(text: str):
+def _parse_triple(text: str, double: bool = False):
     parts = text.split("/")
     if len(parts) != 3:
-        raise PartitionError(
-            f"expected three '/'-separated partitions, got {len(parts)}"
-        )
-    return tuple(parse_partition(p) for p in parts)
-
-
-def _parse_double_triple(text: str):
-    parts = text.split("/")
-    if len(parts) != 3:
-        raise PartitionError(
-            f"expected three '/'-separated double partitions, got {len(parts)}"
-        )
-    return tuple(parse_double_partition(p) for p in parts)
+        kind = "double partitions" if double else "partitions"
+        raise PartitionError(f"expected three '/'-separated {kind}, got {len(parts)}")
+    return tuple(map(parse_double_partition if double else parse_partition, parts))
 
 
 def cmd_kron(args) -> int:
@@ -56,47 +42,22 @@ def cmd_kron(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if args.family == "hyperoct":
-        lam, mu, nu = _parse_double_triple(args.triple)
-        print(f"D_hyperoct = {bound_hyperoct(lam, mu, nu)}")
-        return 0
-    lam, mu, nu = _parse_triple(args.triple)
-    if args.family == "squares":
-        report = squares_report(lam, mu, nu)
-    elif args.all:
-        report = murnaghan_report(lam, mu, nu)
-    else:
-        try:
-            d1 = bound_D1(lam, mu, nu, minimize_over_orderings=args.reorder)
-        except DegenerateTripleError:
-            d1 = 0
-        report = BoundReport("murnaghan", (lam, mu, nu), (("D1", d1),))
-    for name, value in report.values:
+    triple = _parse_triple(args.triple, double=args.family == "hyperoct")
+    values = list(bound_values(args.family, *triple).items())
+    for name, value in values if args.all else values[:1]:
         print(f"{name} = {value}")
-    for note in report.notes:
-        print(f"note: {note}")
     return 0
 
 
 def cmd_dreal(args) -> int:
-    lam, mu, nu = _parse_triple(args.triple)
-    base = (lam, mu, nu)
+    base = _parse_triple(args.triple)
     if args.direction is not None:
         direction = _parse_triple(args.direction)
-        horizon = args.horizon if args.horizon is not None else 10
-        res = empirical_scan(base, direction, horizon)
+        res = empirical_scan(base, direction, args.horizon)
     else:
-        direction = DIRECTIONS[args.family]
-        if args.family == "murnaghan":
-            try:
-                bound = bound_D1(lam, mu, nu)
-            except DegenerateTripleError:
-                bound = 0
-            cert = "D1"
-        else:
-            bound = bound_D2(lam, mu, nu)
-            cert = "D2"
-        res = d_real(base, direction, bound, certificate=cert)
+        cert = CERTIFIED[args.family]
+        bound = bound_values(args.family, *base)[cert]
+        res = d_real(base, DIRECTIONS[args.family], bound, certificate=cert)
     print(f"d_real = {res.d_real}")
     print(f"limit = {res.limit}")
     print(f"sequence = {list(res.sequence)}")
@@ -111,11 +72,8 @@ def cmd_plethysm(args) -> int:
 
 
 def cmd_hyperoct(args) -> int:
-    alpha, beta, gamma = _parse_double_triple(args.triple)
-    kwargs = {}
-    if args.size_cap is not None:
-        kwargs["size_cap"] = args.size_cap
-    print(hyperoct_coeff(alpha, beta, gamma, **kwargs))
+    alpha, beta, gamma = _parse_triple(args.triple, double=True)
+    print(hyperoct_coeff(alpha, beta, gamma, size_cap=args.size_cap))
     return 0
 
 
@@ -176,24 +134,19 @@ def cmd_table(args) -> int:
         wanted = {int(tok) for tok in args.rows.split(",")}
         rows = tuple(r for i, r in enumerate(rows, 1) if i in wanted)
     results = [evaluate_row(table, r) for r in rows]
+    ok = all(c.status != "mismatch" for r in results for c in r.cells)
     if args.format == "json":
-        payload = {
+        print(json.dumps({
             "table": table.table_id,
             "columns": list(table.columns),
             "rows": [_row_json(r) for r in results],
-        }
-        ok = all(
-            c.status != "mismatch" for r in results for c in r.cells
-        )
-        payload["status"] = "ok" if ok else "mismatch"
-        print(json.dumps(payload, indent=2))
+            "status": "ok" if ok else "mismatch",
+        }, indent=2))
     elif args.format == "csv":
         print(_emit_csv(table, results))
     else:
         print(_emit_md(table, results))
-    if any(c.status == "mismatch" for r in results for c in r.cells):
-        return 1
-    return 0
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,11 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bound", help="stabilization bounds for a triple")
     sp.add_argument("family", choices=["murnaghan", "squares", "hyperoct"])
     sp.add_argument("triple")
-    sp.add_argument("--reorder", action=argparse.BooleanOptionalAction,
-                    default=True,
-                    help="minimize over orderings of the triple")
     sp.add_argument("--all", action="store_true",
-                    help="print every bound plus the combined minimum")
+                    help="print every bound of the family, not only the first")
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("dreal", help="certified true stabilization index")
@@ -223,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("triple")
     sp.add_argument("--direction", default=None,
                     help="custom growth direction (uncertified scan)")
-    sp.add_argument("--horizon", type=int, default=None,
+    sp.add_argument("--horizon", type=int, default=10,
                     help="scan horizon for a custom direction")
     sp.set_defaults(func=cmd_dreal)
 
@@ -233,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hyperoct", help="hyperoctahedral tensor coefficient")
     sp.add_argument("triple", help='e.g. "2;2 / 2;2 / 2;2"')
-    sp.add_argument("--size-cap", type=int, default=None)
+    sp.add_argument("--size-cap", type=int, default=SIZE_CAP)
     sp.set_defaults(func=cmd_hyperoct)
 
     sp = sub.add_parser("table", help="recompute an embedded comparison table")
@@ -249,7 +199,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PartitionError, DegenerateTripleError, ValueError) as exc:
+    except (ValueError, CertificateViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if args.command == "table" else 1
     except Exception as exc:  # internal failure

@@ -12,15 +12,8 @@ here, and the discrepancy is reported rather than hidden.
 
 from dataclasses import dataclass
 
-from .partitions import Partition, format_partition
-from .bounds import (
-    bound_D1,
-    bound_D2,
-    bound_DB,
-    bound_DBOR2,
-    bound_Dm,
-    DegenerateTripleError,
-)
+from .partitions import Partition, format_triple
+from .bounds import CERTIFIED, bound_values
 from .stabilization import DIRECTIONS, d_real
 
 Triple = tuple[Partition, Partition, Partition]
@@ -141,49 +134,26 @@ class RowResult:
 
     @property
     def triple_text(self) -> str:
-        return " / ".join(format_partition(p) for p in self.triple)
+        return format_triple(self.triple)
 
     def cell(self, name: str) -> CellResult:
-        for c in self.cells:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def compute_columns(table: TableFixture, triple: Triple) -> dict[str, int]:
-    """Recompute every non-fixture column of one row."""
-    lam, mu, nu = triple
-    out: dict[str, int] = {}
-    if table.family == "murnaghan":
-        try:
-            out["D1"] = bound_D1(lam, mu, nu)
-        except DegenerateTripleError:
-            out["D1"] = 0
-        out["DB"] = bound_DB(lam, mu, nu)
-        out["DBOR2"] = bound_DBOR2(lam, mu, nu)
-        out["Dm"] = bound_Dm(lam, mu, nu)
-        certified = out["Dm"]
-    else:
-        out["D2"] = bound_D2(lam, mu, nu)
-        certified = out["D2"]
-    res = d_real(triple, DIRECTIONS[table.family], certified)
-    out["Dreal"] = res.d_real
-    return out
+        return {c.name: c for c in self.cells}[name]
 
 
 def evaluate_row(table: TableFixture, row: FixtureRow) -> RowResult:
-    computed = compute_columns(table, row.triple)
+    """Recompute every bound of the table's family and the certified
+    index of one row, and compare them with the stored cells."""
+    computed = bound_values(table.family, *row.triple)
+    cert = CERTIFIED[table.family]
+    res = d_real(row.triple, DIRECTIONS[table.family], computed[cert], certificate=cert)
+    computed["Dreal"] = res.d_real
     cells = []
     for name, cell in row.cells:
         if cell.provenance == "fixture":
             cells.append(CellResult(name, cell.expected, None, "fixture", "match"))
             continue
         got = computed[name]
-        if got == cell.expected:
-            status = "match"
-        elif cell.known_mismatch:
-            status = "mismatch-known"
-        else:
-            status = "mismatch"
+        status = ("match" if got == cell.expected
+                  else "mismatch-known" if cell.known_mismatch else "mismatch")
         cells.append(CellResult(name, cell.expected, got, "computed", status))
     return RowResult(row.triple, tuple(cells))

@@ -9,13 +9,15 @@ for the last position when the factor sits under a projectivized dual
 with a fixed kernel).
 
 The maximizer returns the largest achievable total objective over all
-admissible assignments of weights to positions.  Unconstrained blocks
-are solved by descending-sort pairing (rearrangement inequality); when
-pins and the last-position restriction interact in one factor, an exact
-O(p^3) assignment solver takes over.
+admissible assignments of weights to positions.  Pinned positions take
+their weights first; the free positions are paired with the remaining
+weights by descending sort (rearrangement inequality), trying each
+admissible weight class for a restricted last position.
+``solve_assignment`` is a general exact assignment solver that no
+scenario needs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .partitions import Partition, part_at
 
@@ -118,25 +120,13 @@ def _max_factor(factor: ScenarioFactor) -> int:
             raise ScenarioError(f"position {pos} pinned twice or out of range")
         if w not in pool:
             raise ScenarioError(f"pinned weight {w} not available")
+        last = factor.last_classes
+        if pos == dim and last is not None and w not in last:
+            raise ScenarioError(f"pinned weight {w} not allowed in the last position")
         pool.remove(w)
         free_positions.remove(pos)
         total += factor.coeff(pos) * w
-    last_restricted = factor.last_classes is not None and dim in free_positions
-    if factor.pinned and last_restricted:
-        # constraints interact: fall back to the exact assignment solver
-        positions = sorted(free_positions)
-        profit = []
-        for pos in positions:
-            c = factor.coeff(pos)
-            row = []
-            for w in pool:
-                if pos == dim and w not in factor.last_classes:
-                    row.append(-(10**9))
-                else:
-                    row.append(c * w)
-            profit.append(row)
-        return total + solve_assignment(profit)
-    if last_restricted:
+    if factor.last_classes is not None and dim in free_positions:
         c_last = factor.coeff(dim)
         rest_positions = [p for p in free_positions if p != dim]
         best = None

@@ -11,11 +11,9 @@ with LR coefficients on every boundary.
 
 from math import comb
 
-from .partitions import Partition, PartitionError, check_partition, dim_sn, format_partition, parse_partition, partitions_of
+from .partitions import DoublePartition, Partition, PartitionError, check_partition, dim_sn, format_partition, parse_partition, partitions_of
 from .kronecker import kron
 from .lr import lr
-
-DoublePartition = tuple[Partition, Partition]
 
 SIZE_CAP = 8
 

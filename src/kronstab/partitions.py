@@ -19,6 +19,7 @@ class ConsistencyError(ArithmeticError):
 
 
 Partition = tuple[int, ...]
+DoublePartition = tuple[Partition, Partition]
 
 
 def check_partition(lam) -> Partition:
@@ -95,6 +96,11 @@ def format_partition(lam: Partition) -> str:
             out.extend([str(lam[i])] * run)
         i = j
     return ",".join(out)
+
+
+def format_triple(triple) -> str:
+    """Render three partitions as the CLI's "/"-separated triple."""
+    return " / ".join(format_partition(p) for p in triple)
 
 
 def part_at(lam: Partition, k: int) -> int:

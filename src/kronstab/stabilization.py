@@ -6,11 +6,22 @@ value at d = B, and the true stabilization index is the least d from
 which the sequence already sits at the limit.  Constancy is additionally
 checked on a margin beyond B; a violation there means the bound was not
 actually a bound, which must never happen for the certified families.
+
+When the direction itself has g(a, b, c) >= 1 the sequence is weakly
+increasing: multiplying by that nonzero covariant is injective, since the
+covariant algebra is a domain.  A decrease is therefore an arithmetic
+fault and raises ``ConsistencyError``.
 """
 
 from dataclasses import dataclass
 
-from .partitions import Partition, add_scaled, check_partition
+from .partitions import (
+    ConsistencyError,
+    Partition,
+    add_scaled,
+    check_partition,
+    format_triple,
+)
 from .kronecker import kron
 
 DIRECTIONS: dict[str, tuple[Partition, Partition, Partition]] = {
@@ -36,27 +47,6 @@ class StabilizationResult:
         return len(self.sequence) - 1
 
 
-@dataclass(frozen=True)
-class StabilizationQuery:
-    """A base triple, a growth direction, and the certified bound whose
-    soundness underwrites the reported index."""
-
-    base: tuple[Partition, Partition, Partition]
-    direction: tuple[Partition, Partition, Partition]
-    certified_bound: int
-    margin: int = 2
-    certificate: str = "certified bound"
-
-    def evaluate(self) -> "StabilizationResult":
-        return d_real(
-            self.base,
-            self.direction,
-            self.certified_bound,
-            self.margin,
-            self.certificate,
-        )
-
-
 def sequence_term(
     base: tuple[Partition, Partition, Partition],
     direction: tuple[Partition, Partition, Partition],
@@ -66,6 +56,28 @@ def sequence_term(
     lam, mu, nu = (check_partition(p) for p in base)
     a, b, c = (check_partition(p) for p in direction)
     return kron(add_scaled(lam, d, a), add_scaled(mu, d, b), add_scaled(nu, d, c))
+
+
+def _sequence(base, direction, horizon: int) -> tuple[int, ...]:
+    """The terms d = 0..horizon, checked to be weakly increasing when the
+    direction has a nonzero Kronecker coefficient."""
+    seq = tuple(sequence_term(base, direction, d) for d in range(horizon + 1))
+    drop = next((d for d in range(1, len(seq)) if seq[d] < seq[d - 1]), None)
+    if drop is not None and kron(*direction) >= 1:
+        raise ConsistencyError(
+            f"sequence {seq} of {format_triple(base)} along "
+            f"{format_triple(direction)} decreases at d = {drop}"
+        )
+    return seq
+
+
+def _result(seq, start: int, certificate: str, certified: bool) -> StabilizationResult:
+    """The least index from which the sequence sits at its value at
+    ``start``, up to ``start``."""
+    idx = start
+    while idx > 0 and seq[idx - 1] == seq[start]:
+        idx -= 1
+    return StabilizationResult(idx, seq[start], seq, certificate, certified)
 
 
 def d_real(
@@ -84,17 +96,15 @@ def d_real(
     if certified_bound < 0 or margin < 0:
         raise ValueError("bound and margin must be nonnegative")
     horizon = certified_bound + margin
-    seq = tuple(sequence_term(base, direction, d) for d in range(horizon + 1))
+    seq = _sequence(base, direction, horizon)
     limit = seq[certified_bound]
-    for d in range(certified_bound, horizon + 1):
-        if seq[d] != limit:
-            raise CertificateViolationError(
-                f"sequence {seq} not constant on [{certified_bound}, {horizon}]"
-            )
-    idx = certified_bound
-    while idx > 0 and seq[idx - 1] == limit:
-        idx -= 1
-    return StabilizationResult(idx, limit, seq, certificate, certified=True)
+    if any(v != limit for v in seq[certified_bound:]):
+        raise CertificateViolationError(
+            f"{certificate} = {certified_bound} is not a bound for "
+            f"{format_triple(base)} along {format_triple(direction)}: "
+            f"sequence {seq} not constant on [{certified_bound}, {horizon}]"
+        )
+    return _result(seq, certified_bound, certificate, certified=True)
 
 
 def empirical_scan(
@@ -107,11 +117,5 @@ def empirical_scan(
     no claim beyond it."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    seq = tuple(sequence_term(base, direction, d) for d in range(horizon + 1))
-    limit = seq[-1]
-    idx = horizon
-    while idx > 0 and seq[idx - 1] == limit:
-        idx -= 1
-    return StabilizationResult(
-        idx, limit, seq, f"empirical (horizon {horizon})", certified=False
-    )
+    seq = _sequence(base, direction, horizon)
+    return _result(seq, horizon, f"empirical (horizon {horizon})", certified=False)

@@ -1,0 +1,58 @@
+"""The names and outputs the benchmark in ``perfbench/`` relies on.
+
+The benchmark traces package functions by name and re-checks their
+outputs in worker processes; a renamed function or a changed output
+makes its runs fail.  These tests import the benchmark's own modules and
+run those checks in process.
+"""
+
+import contextlib
+import importlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import calltrace  # noqa: E402
+import worker  # noqa: E402
+import workloads  # noqa: E402
+
+from kronstab import cli  # noqa: E402
+
+
+@pytest.fixture
+def tracer():
+    tracer = calltrace.Tracer(calltrace.SITES)
+    tracer.install()
+    try:
+        yield tracer
+    finally:
+        for site, fn in tracer.originals.items():
+            short, attr = site.split(".", 1)
+            setattr(importlib.import_module(f"kronstab.{short}"), attr, fn)
+
+
+def test_every_traced_name_exists(tracer):
+    assert tracer.missing == []
+
+
+def test_bound_queries_pass(tracer):
+    queries = workloads.query_mix_inputs(0, workloads.load_reference())
+    bounds = [q for q in queries if q["kind"] == "bounds"][:10]
+    assert len(bounds) == 10
+    for q in bounds:
+        assert worker.query_bounds(worker.as_tuple(q["args"]), None), q["args"]
+    assert tracer.stats["bounds.bound_D1"][0] > 0
+
+
+def test_table_output_checks(tracer):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["table", "3.6.2", "--format", "json"])
+    attempted, failed = worker.check_table("3.6.2", code, out.getvalue())
+    assert (attempted, failed) == (25, 0)
+    assert tracer.stats["fixtures.bound_values"][0] == 12

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kronstab.bounds import (
+    CERTIFIED,
     DegenerateTripleError,
     bound_D1,
     bound_D2,
@@ -12,8 +13,7 @@ from kronstab.bounds import (
     bound_DBOR2_improved,
     bound_Dm,
     bound_hyperoct,
-    murnaghan_report,
-    squares_report,
+    bound_values,
 )
 from kronstab.fixtures import TABLE_1, TABLE_2
 from kronstab.partitions import partitions_of
@@ -82,11 +82,16 @@ def test_values_clamp_at_zero():
 
 
 def test_degenerate_triples():
-    with pytest.raises(DegenerateTripleError):
-        bound_D1((3,), (3,), (2, 1))
+    # two single-row partitions: a constant Kronecker delta from d = 0
+    assert bound_D1((3,), (3,), (2, 1)) == 0
     assert bound_Dm((3,), (3,), (2, 1)) == 0
+    assert bound_values("murnaghan", (3,), (3,), (2, 1))["D1"] == 0
+    with pytest.raises(DegenerateTripleError):
+        bound_D1((3,), (3,), (2, 1), minimize_over_orderings=False)
     with pytest.raises(DegenerateTripleError):
         bound_D2((3,), (2, 1), (2, 1))
+    with pytest.raises(DegenerateTripleError):
+        bound_hyperoct(((3,), (1,)), ((2, 2), (1,)), ((2, 1, 1), (2, 1, 1)))
 
 
 def test_two_box_bound_swap_symmetric():
@@ -113,10 +118,14 @@ def test_hyperoct_bound_reduces_to_one_box_bound():
         )
 
 
-def test_reports():
-    row = TABLE_1.rows[0]
-    rep = murnaghan_report(*row.triple)
-    d = rep.as_dict()
-    assert d["D1"] == 6 and d["Dm"] == 5 and d["DB"] == 5
-    rep2 = squares_report(*TABLE_2.rows[9].triple)
-    assert rep2.as_dict() == {"D2": 1}
+def test_bound_values():
+    values = bound_values("murnaghan", *TABLE_1.rows[0].triple)
+    assert list(values) == ["D1", "DB", "DB_improved", "DBOR2", "DBOR2_improved", "Dm"]
+    assert values["D1"] == 6 and values["Dm"] == 5 and values["DB"] == 5
+    assert bound_values("squares", *TABLE_2.rows[9].triple) == {"D2": 1}
+    double = (((3, 1), (1,)), ((2, 2), (1,)), ((2, 1, 1), (2, 1, 1)))
+    assert bound_values("hyperoct", *double) == {"D_hyperoct": bound_hyperoct(*double)}
+    with pytest.raises(ValueError):
+        bound_values("nope", (1,), (1,), (1,))
+    for family, name in CERTIFIED.items():
+        assert name in bound_values(family, *TABLE_2.rows[0].triple)

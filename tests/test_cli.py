@@ -37,6 +37,16 @@ def test_bound_all(capsys):
     assert values["Dm"] == "5"
 
 
+def test_bound_degenerate_triple(capsys):
+    # two single-row partitions: every murnaghan bound is 0
+    code, out, _ = run(capsys, "bound", "murnaghan", "3 / 3 / 2,1", "--all")
+    assert code == 0
+    names = ["D1", "DB", "DB_improved", "DBOR2", "DBOR2_improved", "Dm"]
+    assert out.splitlines() == [f"{name} = 0" for name in names]
+    code, _, err = run(capsys, "bound", "squares", "3 / 2,1 / 2,1")
+    assert code == 1 and err.startswith("error:")
+
+
 def test_bound_squares(capsys):
     code, out, _ = run(capsys, "bound", "squares", "8,2 / 6,4 / 5,4,1")
     assert code == 0 and "D2 = 1" in out
@@ -56,6 +66,16 @@ def test_dreal(capsys):
     assert code == 0 and "d_real = 1" in out
     code, out, _ = run(capsys, "dreal", "murnaghan", "7,6 / 6,5,2 / 7,3,2,1")
     assert code == 0 and "d_real = 3" in out
+    # certified with Dm = 3, as in the table, so the sequence runs to Dm + 2
+    assert "sequence = [10, 17, 21, 22, 22, 22]" in out
+    assert out.splitlines()[-1] == "certificate = Dm"
+
+
+def test_dreal_unsound_bound_is_an_error(capsys):
+    # D2 is 0 here but the sequence is 1, 2, 2, 2
+    code, out, err = run(capsys, "dreal", "squares", "3,1 / 3,1 / 2,2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: D2 = 0 is not a bound for 3,1 / 3,1 / 2,2 along")
 
 
 def test_dreal_custom_direction(capsys):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from kronstab.hm import (
     ScenarioError,
     ScenarioFactor,
     hm_bound,
+    hm_max_destabilization,
     solve_assignment,
     tau0_hyperoct,
     tau0_murnaghan,
@@ -44,6 +46,54 @@ def test_assignment_solver_against_brute_force(profit):
         for perm in itertools.permutations(range(n))
     )
     assert solve_assignment(profit) == best
+
+
+def test_pinned_factor_with_restricted_last_position():
+    # Dual coefficients by position are 1e10, 2e10, 3e10.  Weight 1 is
+    # pinned at position 1 and the last position must take weight 0, so the
+    # only admissible assignment is (1, -1, 0): 1e10 - 2e10 + 0.
+    objective = (3 * 10**10, 2 * 10**10, 10**10)
+    f = ScenarioFactor(objective, 3, ((1, 1), (-1, 1), (0, 1)), dual=True,
+                       pinned=((1, 1),), last_classes=(0,))
+    assert hm_max_destabilization([f]) == -(10**10)
+
+
+@st.composite
+def constrained_factors(draw):
+    """Small factors with pinned positions and an optional restriction on
+    the last position's weight."""
+    dim = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+    objective = tuple(sorted(
+        draw(st.lists(st.integers(1, 9), min_size=1, max_size=dim)), reverse=True
+    ))
+    order = draw(st.permutations(pool))
+    positions = draw(st.lists(st.integers(1, dim), unique=True))
+    last = draw(st.none() | st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+    return ScenarioFactor(
+        objective,
+        dim,
+        tuple(sorted(Counter(pool).items())),
+        dual=draw(st.booleans()),
+        pinned=tuple(zip(positions, order)),
+        last_classes=None if last is None else tuple(last),
+    )
+
+
+@given(constrained_factors())
+def test_factor_maximum_against_brute_force(f):
+    pool = [w for w, m in f.weights for _ in range(m)]
+    admissible = [
+        sum(f.coeff(p) * w for p, w in enumerate(perm, 1))
+        for perm in set(itertools.permutations(pool))
+        if all(perm[p - 1] == w for p, w in f.pinned)
+        and (f.last_classes is None or perm[-1] in f.last_classes)
+    ]
+    if admissible:
+        assert hm_max_destabilization([f]) == max(admissible)
+    else:
+        with pytest.raises(ScenarioError):
+            hm_max_destabilization([f])
 
 
 def test_factor_weight_multiplicities_checked():

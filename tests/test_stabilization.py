@@ -1,11 +1,12 @@
 import pytest
 
+from kronstab import stabilization
 from kronstab.bounds import bound_D1, bound_D2
 from kronstab.fixtures import TABLE_1, TABLE_2
+from kronstab.partitions import ConsistencyError
 from kronstab.stabilization import (
     DIRECTIONS,
     CertificateViolationError,
-    StabilizationQuery,
     d_real,
     empirical_scan,
     sequence_term,
@@ -79,14 +80,37 @@ def test_shift_consistency():
 def test_certificate_violation_detected():
     # bound 0 is not sound for this triple: the sequence still moves
     triple = TABLE_1.rows[1].triple
-    with pytest.raises(CertificateViolationError):
-        d_real(triple, ONE_BOX, 0, margin=3)
+    with pytest.raises(CertificateViolationError) as info:
+        d_real(triple, ONE_BOX, 0, margin=3, certificate="D1")
+    message = str(info.value)
+    assert message.startswith("D1 = 0 is not a bound for ")
+    assert "4,3,3 / 3,2^3,1 / 2^3,1^4 along 1 / 1 / 1" in message
+    assert "not constant on [0, 3]" in message
 
 
-def test_query_wrapper():
+@pytest.mark.parametrize("scan", [
+    lambda base, direction: d_real(base, direction, 2),
+    lambda base, direction: empirical_scan(base, direction, 4),
+])
+def test_decreasing_sequence_is_a_fault(monkeypatch, scan):
+    # both built-in directions have g(a, b, c) = 1, so their sequences
+    # weakly increase; a decrease can only be an arithmetic fault
+    # 5, 4, 3, 3, 3: constant beyond d = 2, decreasing before it
+    def term(base, direction, d):
+        return max(5 - d, 3)
+
+    monkeypatch.setattr(stabilization, "sequence_term", term)
+    base = ((2, 1), (2, 1), (2, 1))
+    for direction in (ONE_BOX, SQUARES):
+        with pytest.raises(ConsistencyError, match=r"2,1 / 2,1 / 2,1 along .* d = 1"):
+            scan(base, direction)
+    # g((2), (2), (1,1)) = 0: no covariant, so no monotonicity claim
+    scan(base, ((2,), (2,), (1, 1)))
+
+
+def test_certificate_is_recorded():
     triple = TABLE_2.rows[10].triple
-    q = StabilizationQuery(triple, SQUARES, bound_D2(*triple), certificate="D2")
-    res = q.evaluate()
+    res = d_real(triple, SQUARES, bound_D2(*triple), certificate="D2")
     assert res.certified and res.certificate == "D2"
     assert res.d_real == 0
 
