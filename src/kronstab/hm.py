@@ -230,15 +230,10 @@ def tau_squares(
         # n1 == 2 branch: one short factor flattens the weight spectrum
         tensor_ws = _weights((2, 1), (1, n2 - 1), (0, n2 - 1), (-1, 1))
     f3 = ScenarioFactor(nu, P, tensor_ws, dual=True, last_classes=(0,))
-    scen1 = (
-        [small_flag(lam, n1, 0, 1), small_flag(mu, n2, 1, 0), f3],
-        2,
-    )
-    scen2 = (
-        [small_flag(lam, n1, 1, 0), small_flag(mu, n2, 0, 1), f3],
-        2,
-    )
-    return [scen1, scen2]
+    return [
+        ([small_flag(lam, n1, 0, 1), small_flag(mu, n2, 1, 0), f3], 2),
+        ([small_flag(lam, n1, 1, 0), small_flag(mu, n2, 0, 1), f3], 2),
+    ]
 
 
 def tau_B(

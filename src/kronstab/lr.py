@@ -9,7 +9,6 @@ def _contains(outer: Partition, inner: Partition) -> bool:
     return all(part_at(outer, i + 1) >= p for i, p in enumerate(inner))
 
 
-@cache
 def lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient: multiplicity of the Schur
     function of shape ``nu`` in the product of those of ``lam`` and
@@ -17,11 +16,14 @@ def lr(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     Counts semistandard fillings of the skew shape nu/lam with content
     mu whose reverse reading word is a lattice word.  Size mismatches
-    simply give 0.
+    simply give 0.  The arguments are validated before the cache sees
+    them, so lists work as well as tuples.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    nu = check_partition(nu)
+    return _lr(check_partition(lam), check_partition(mu), check_partition(nu))
+
+
+@cache
+def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     if sum(lam) + sum(mu) != sum(nu):
         return 0
     if not _contains(nu, lam) or not _contains(nu, mu):
@@ -31,11 +33,8 @@ def lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     # Cells are filled row by row, right to left within each row, so the
     # reading word grows one letter at a time and the lattice property
     # can be enforced incrementally.
-    cells = []
-    for r in range(len(nu)):
-        lo = part_at(lam, r + 1)
-        for c in range(nu[r] - 1, lo - 1, -1):
-            cells.append((r, c))
+    cells = [(r, c) for r in range(len(nu))
+             for c in range(nu[r] - 1, part_at(lam, r + 1) - 1, -1)]
     nletters = len(mu)
     counts = [0] * (nletters + 1)  # counts[v] = letters v placed so far
     filling: dict[tuple[int, int], int] = {}
@@ -63,6 +62,9 @@ def lr(lam: Partition, mu: Partition, nu: Partition) -> int:
         return total
 
     return place(0)
+
+
+lr.cache_info = _lr.cache_info
 
 
 def schur_product_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:

@@ -8,9 +8,8 @@ through character values.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
-from .partitions import ConsistencyError, Partition, check_partition, partitions_of, z_order
+from .partitions import ConsistencyError, Partition, check_partition, format_triple, partitions_of, z_order
 from .characters import character
 
 DEGREE_CAP = 24
@@ -112,7 +111,8 @@ def plethysm_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
         return 0
     if deg > DEGREE_CAP:
         raise DegreeCapError(
-            f"degree {deg} exceeds the desk-scale limit of {DEGREE_CAP}"
+            f"degree {deg} of {format_triple((lam, mu, nu))} exceeds the"
+            f" desk-scale limit of {DEGREE_CAP}"
         )
     comp = plethysm_powersum(schur_to_powersum(lam), schur_to_powersum(mu))
     total = sum(

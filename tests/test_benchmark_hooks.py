@@ -49,6 +49,15 @@ def test_bound_queries_pass(tracer):
     assert tracer.stats["bounds.bound_D1"][0] > 0
 
 
+def test_hyperoct_reference_queries():
+    # Every stored value came from the engine the block contraction
+    # replaced, at total sizes 10-14.
+    queries = workloads.hyperoct_inputs(0, workloads.load_reference())
+    assert len(queries) == 32
+    for q in queries:
+        assert worker.query_hyperoct(worker.as_tuple(q["args"]), q["expect"]), q
+
+
 def test_table_output_checks(tracer):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -86,9 +86,26 @@ def test_scaled_square_pairs_stay_simple():
 
 def test_size_cap():
     big = ((5,), (5,))
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError) as err:
         hyperoct_coeff(big, big, big)
+    assert str(err.value) == (
+        "total size 10 of 5;5 / 5;5 / 5;5 exceeds the desk-scale limit of 8"
+    )
     assert total_size(big) == 10
+
+
+def test_list_input_equals_tuple_input():
+    a, b, c = ((2, 1), (1,)), ((3,), (1,)), ((2,), (1, 1))
+    as_lists = [[list(p), list(m)] for p, m in (a, b, c)]
+    assert hyperoct_coeff(*as_lists) == hyperoct_coeff(a, b, c) == 1
+    with pytest.raises(PartitionError):
+        hyperoct_coeff(((2, 0), ()), b, c)
+
+
+def test_size_18_query():
+    # The value the earlier nested-loop engine gave, in 15.8 s.
+    a = ((4, 3, 3), (4, 3, 1))
+    assert hyperoct_coeff(a, a, a, size_cap=18) == 312073
 
 
 def test_size_mismatch_is_zero():

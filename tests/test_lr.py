@@ -1,7 +1,9 @@
 import itertools
 
+import pytest
+
 from kronstab.lr import lr, schur_product_expand
-from kronstab.partitions import dim_gl, partitions_of
+from kronstab.partitions import PartitionError, dim_gl, partitions_of
 
 from oracles import is_horizontal_strip, lr_oracle
 
@@ -72,3 +74,10 @@ def test_size_mismatch_is_zero():
 def test_containment_required():
     assert lr((2, 2), (1,), (4, 1)) == 0
     assert lr((3,), (2,), (2, 2, 1)) == 0
+
+
+def test_list_input_equals_tuple_input():
+    assert lr([2, 1], [1], [2, 1, 1]) == lr((2, 1), (1,), (2, 1, 1)) == 1
+    with pytest.raises(PartitionError):
+        lr((2, 0), (1,), (3,))
+    assert lr.cache_info().currsize > 0

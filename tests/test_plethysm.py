@@ -69,5 +69,8 @@ def test_size_mismatch_is_zero():
 
 
 def test_degree_cap():
-    with pytest.raises(DegreeCapError):
+    with pytest.raises(DegreeCapError) as err:
         plethysm_coeff((5,), (5,), (25,))
+    assert str(err.value) == (
+        "degree 25 of 5 / 5 / 25 exceeds the desk-scale limit of 24"
+    )
