@@ -7,6 +7,15 @@ set bit from position ``t + k`` down to a clear position ``t``; its sign
 is the parity of the set bits strictly between them.  A bit landing on
 position 0 stands for a zero part, so the low run of set bits is
 shifted out to keep one mask per partition (bit 0 always clear).
+
+A cycle type is held as an interned ``int`` id: class ``pid`` is the
+part ``_first[pid]`` followed by the class ``_rest[pid]``, and id 0 is
+the empty class.  So the recursion steps to the rest of a class without
+slicing a tuple, and the memo of degree n keys a value on the single
+``int`` ``pid << n + 1 | mask``.  That key is injective because the
+highest bit of a canonical mask of degree n is lam[0] + l - 1 <= n.
+Top-level values (the full class of a ``kron`` call) are stored too:
+``hyperoct`` reuses them across the blocks of one shape.
 """
 
 from collections import defaultdict
@@ -15,7 +24,13 @@ from .partitions import Partition, check_partition
 
 # Memo tables keyed by degree (size of the remaining shape) so memory can
 # be reclaimed degree by degree between large runs.
-_memo: dict[int, dict[tuple[int, Partition], int]] = defaultdict(dict)
+_memo: dict[int, dict[int, int]] = defaultdict(dict)
+
+# Class registry: id of each interned cycle type, and per id its first
+# part and the id of the rest of its parts.
+_ids: dict[Partition, int] = {(): 0}
+_first: list[int] = [0]
+_rest: list[int] = [0]
 
 
 def beta_mask(lam: Partition) -> int:
@@ -24,19 +39,30 @@ def beta_mask(lam: Partition) -> int:
     return sum(1 << (p + l - 1 - i) for i, p in enumerate(lam))
 
 
-def mn(mask: int, rho: Partition, n: int) -> int:
+def class_id(rho: Partition) -> int:
+    """Interned id of the cycle type ``rho``, whose parts must be weakly
+    decreasing; registers ``rho`` and its suffixes on first sight."""
+    pid = _ids.get(rho)
+    if pid is None:
+        rest = class_id(rho[1:])
+        pid = _ids[rho] = len(_first)
+        _first.append(rho[0])
+        _rest.append(rest)
+    return pid
+
+
+def mn(mask: int, pid: int, n: int) -> int:
     """Character value of the shape ``mask`` (of size ``n``) on the class
-    ``rho``, whose parts must be weakly decreasing; they are consumed
-    largest first."""
-    if not rho:
+    with id ``pid``; its parts are consumed largest first."""
+    if not pid:
         return 1
     table = _memo[n]
-    key = (mask, rho)
+    key = pid << n + 1 | mask
     hit = table.get(key)
     if hit is not None:
         return hit
-    k = rho[0]
-    rest = rho[1:]
+    k = _first[pid]
+    rest = _rest[pid]
     total = 0
     # Bits t with t + k set and t clear: the removable strips of size k.
     free = (mask >> k) & ~mask
@@ -66,15 +92,20 @@ def character(lam: Partition, rho: Partition) -> int:
     n = sum(lam)
     if n != sum(rho):
         raise ValueError(f"shape {lam} and cycle type {rho} must have equal size")
-    return mn(beta_mask(lam), rho, n)
+    return mn(beta_mask(lam), class_id(rho), n)
 
 
 def clear_character_cache(degree: int | None = None) -> None:
     """Drop memo tables, either for one degree or for all of them.
 
-    Useful between unrelated large computations to bound memory.
+    Useful between unrelated large computations to bound memory.  A full
+    clear also resets the class registry; clearing one degree keeps it,
+    since the keys of the other degrees hold its ids.
     """
     if degree is None:
         _memo.clear()
+        _ids.clear()
+        _ids[()] = 0
+        del _first[1:], _rest[1:]
     else:
         _memo.pop(degree, None)

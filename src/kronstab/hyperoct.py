@@ -12,15 +12,11 @@ from functools import reduce
 from itertools import product
 from math import comb
 
-from .partitions import DoublePartition, Partition, PartitionError, check_partition, dim_sn, format_partition, parse_partition, partitions_of
+from .partitions import DoublePartition, Partition, PartitionError, SizeCapError, check_partition, dim_sn, format_partition, parse_partition, partitions_of
 from .kronecker import kron
 from .lr import lr
 
 SIZE_CAP = 8
-
-
-class SizeCapError(ValueError):
-    """The request exceeds the desk-scale size limit."""
 
 
 def parse_double_partition(text: str) -> DoublePartition:

@@ -3,8 +3,12 @@
 from math import factorial
 
 # ConsistencyError and character are re-exported for existing importers.
-from .partitions import ConsistencyError, Partition, check_partition, class_sizes
-from .characters import beta_mask, character, mn
+from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, class_sizes, format_triple
+from .characters import beta_mask, character, class_id, mn
+
+# Above the north star's n = 48, where a cold call takes seconds and
+# hundreds of MB; memory grows about 3.5x for every 8 added to n.
+KRON_SIZE_CAP = 50
 
 
 def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
@@ -22,14 +26,20 @@ def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     n = sum(alpha)
     if sum(beta) != n or sum(gamma) != n:
         raise ValueError("all three partitions must have the same size")
+    if n > KRON_SIZE_CAP:
+        raise SizeCapError(
+            f"size {n} of {format_triple((alpha, beta, gamma))}"
+            f" exceeds the desk-scale limit of {KRON_SIZE_CAP}"
+        )
     # Evaluate the cheapest shape first inside each class so a zero
     # character value skips the other two evaluations.
     masks = [beta_mask(shape) for shape in sorted((alpha, beta, gamma), key=len)]
     total = 0
     for rho, size in class_sizes(n):
+        pid = class_id(rho)
         prod = size
         for mask in masks:
-            c = mn(mask, rho, n)
+            c = mn(mask, pid, n)
             if not c:
                 break
             prod *= c

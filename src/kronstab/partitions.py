@@ -14,6 +14,10 @@ class PartitionError(ValueError):
     """Raised for text that does not describe a partition."""
 
 
+class SizeCapError(ValueError):
+    """The request exceeds the desk-scale size limit."""
+
+
 class ConsistencyError(ArithmeticError):
     """An internal exactness check failed; the result would be wrong."""
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from kronstab.characters import _memo, beta_mask, character, clear_character_cache
+from kronstab.characters import _first, _ids, _memo, _rest, beta_mask, character, clear_character_cache
 from kronstab.partitions import PartitionError, class_sizes, conjugate, dim_sn, partitions_of
 
 from oracles import character_oracle
@@ -80,7 +80,28 @@ def test_memo_keys_are_canonical():
             character(lam, rho)
     for degree, table in _memo.items():
         masks = {beta_mask(lam) for lam in partitions_of(degree)}
-        assert {mask for mask, _ in table} <= masks, degree
+        for key in table:
+            # A key is the class id above the degree + 1 bits of the mask.
+            assert key & ((1 << degree + 1) - 1) in masks, (degree, key)
+            pid, parts = key >> degree + 1, []
+            while pid:
+                parts.append(_first[pid])
+                pid = _rest[pid]
+            assert sum(parts) == degree, (degree, key, parts)
+
+
+def test_clear_resets_class_registry():
+    values = {rho: character((3, 2, 1), rho) for rho in partitions_of(6)}
+    clear_character_cache()
+    assert _ids == {(): 0} and _first == [0] and _rest == [0]
+    assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
+    character((2, 2), (2, 1, 1))
+    kept = {degree: dict(table) for degree, table in _memo.items() if degree != 4}
+    registered = dict(_ids)
+    clear_character_cache(4)
+    assert 4 not in _memo and _ids == registered
+    assert {degree: _memo[degree] for degree in kept} == kept
+    assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
 
 
 def test_cycle_type_in_any_order():

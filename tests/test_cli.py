@@ -26,6 +26,12 @@ def test_kron_parse_error(capsys):
     assert code == 1 and "error" in err
 
 
+def test_kron_size_cap(capsys):
+    code, _, err = run(capsys, "kron", "51 / 51 / 51")
+    assert code == 1
+    assert err == "error: size 51 of 51 / 51 / 51 exceeds the desk-scale limit of 50\n"
+
+
 def test_bound_all(capsys):
     code, out, _ = run(
         capsys, "bound", "murnaghan", "8,5,2 / 6,5,2,2 / 4,4,3,3,1", "--all"

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from kronstab.kronecker import kron, weak_stability_probe
-from kronstab.partitions import conjugate, dim_sn, partitions_of
+from kronstab.kronecker import KRON_SIZE_CAP, kron, weak_stability_probe
+from kronstab.partitions import SizeCapError, add_scaled, conjugate, dim_sn, partitions_of
 
 
 def test_against_group_average_oracle():
@@ -59,6 +59,22 @@ def test_dimension_consistency():
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
         kron((2,), (1, 1), (3,))
+
+
+def test_size_cap():
+    assert KRON_SIZE_CAP == 50
+    with pytest.raises(SizeCapError) as err:
+        kron((51,), (50, 1), (26, 25))
+    assert str(err.value) == (
+        "size 51 of 51 / 50,1 / 26,25 exceeds the desk-scale limit of 50"
+    )
+
+
+def test_table_row_grown_beyond_oracle_range():
+    # Table 3.6.1 row 3 at d = 12 along (1), (1), (1): n = 30, far above
+    # what the group-average oracle can check.
+    row = ((5, 5, 4, 4), (6, 6, 6), (3, 3, 2, 2, 2, 2, 1, 1, 1, 1))
+    assert kron(*(add_scaled(lam, 12, (1,)) for lam in row)) == 318
 
 
 def test_weak_stability_probe_examples():
