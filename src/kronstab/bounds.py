@@ -191,9 +191,9 @@ def bound_Dm(lam: Partition, mu: Partition, nu: Partition) -> int:
 def bound_hyperoct(lam: DoublePartition, mu: DoublePartition, nu: DoublePartition) -> int:
     """Stabilization bound for hyperoctahedral tensor sequences grown by
     one box on every plus part's first row."""
-    lp, lm = lam
-    mp, mm = mu
-    np_, nm = nu
+    (lp, lm), (mp, mm), (np_, nm) = (
+        (check_partition(plus), check_partition(minus)) for plus, minus in (lam, mu, nu)
+    )
     a1, a2 = len(lp), len(lm)
     b1, b2 = len(mp), len(mm)
     if a1 < 2 or b1 < 2:

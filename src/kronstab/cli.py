@@ -22,7 +22,7 @@ from .stabilization import (
     d_real,
     empirical_scan,
 )
-from .fixtures import TABLES, RowResult, evaluate_row
+from .fixtures import TABLES, evaluate_row
 
 
 def _parse_triple(text: str, double: bool = False):
@@ -77,19 +77,12 @@ def cmd_hyperoct(args) -> int:
     return 0
 
 
-def _row_json(result: RowResult) -> dict:
-    return {
-        "triple": result.triple_text,
-        "cells": {
-            c.name: {
-                "expected": c.expected,
-                "computed": c.computed,
-                "provenance": c.provenance,
-                "status": c.status,
-            }
-            for c in result.cells
-        },
-    }
+def _md_cell(c: dict) -> str:
+    if c["provenance"] == "fixture":
+        return f"{c['expected']} (fixture)"
+    if c["status"] == "match":
+        return str(c["expected"])
+    return f"{c['computed']} (expected {c['expected']}, {c['status']})"
 
 
 def _emit_md(table, results) -> str:
@@ -97,15 +90,7 @@ def _emit_md(table, results) -> str:
     lines = ["| " + " | ".join(header) + " |",
              "|" + "|".join("---" for _ in header) + "|"]
     for r in results:
-        row = [r.triple_text]
-        for name in table.columns:
-            c = r.cell(name)
-            if c.provenance == "fixture":
-                row.append(f"{c.expected} (fixture)")
-            elif c.status == "match":
-                row.append(str(c.expected))
-            else:
-                row.append(f"{c.computed} (expected {c.expected}, {c.status})")
+        row = [r["triple"]] + [_md_cell(c) for c in r["cells"].values()]
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)
 
@@ -115,12 +100,25 @@ def _emit_csv(table, results) -> str:
     w = csv.writer(buf)
     w.writerow(["triple"] + list(table.columns))
     for r in results:
-        row = [r.triple_text]
-        for name in table.columns:
-            c = r.cell(name)
-            row.append(c.expected if c.provenance == "fixture" else c.computed)
-        w.writerow(row)
+        w.writerow([r["triple"]] + [
+            c["expected"] if c["provenance"] == "fixture" else c["computed"]
+            for c in r["cells"].values()
+        ])
     return buf.getvalue().rstrip("\n")
+
+
+def _row_numbers(text: str, count: int) -> set[int]:
+    """The 1-based row numbers of a ``--rows`` list."""
+    wanted = set()
+    for tok in text.split(","):
+        try:
+            i = int(tok)
+        except ValueError:
+            i = 0
+        if not 1 <= i <= count:
+            raise ValueError(f"bad row {tok!r} in --rows; valid rows are 1..{count}")
+        wanted.add(i)
+    return wanted
 
 
 def cmd_table(args) -> int:
@@ -131,15 +129,15 @@ def cmd_table(args) -> int:
         return 2
     rows = table.rows
     if args.rows:
-        wanted = {int(tok) for tok in args.rows.split(",")}
+        wanted = _row_numbers(args.rows, len(rows))
         rows = tuple(r for i, r in enumerate(rows, 1) if i in wanted)
     results = [evaluate_row(table, r) for r in rows]
-    ok = all(c.status != "mismatch" for r in results for c in r.cells)
+    ok = all(c["status"] != "mismatch" for r in results for c in r["cells"].values())
     if args.format == "json":
         print(json.dumps({
             "table": table.table_id,
             "columns": list(table.columns),
-            "rows": [_row_json(r) for r in results],
+            "rows": results,
             "status": "ok" if ok else "mismatch",
         }, indent=2))
     elif args.format == "csv":

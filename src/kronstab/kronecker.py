@@ -25,7 +25,10 @@ def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     gamma = check_partition(gamma)
     n = sum(alpha)
     if sum(beta) != n or sum(gamma) != n:
-        raise ValueError("all three partitions must have the same size")
+        raise ValueError(
+            f"sizes {n}, {sum(beta)}, {sum(gamma)} of {format_triple((alpha, beta, gamma))}"
+            " differ; all three partitions must have the same size"
+        )
     if n > KRON_SIZE_CAP:
         raise SizeCapError(
             f"size {n} of {format_triple((alpha, beta, gamma))}"
@@ -73,8 +76,6 @@ def weak_stability_probe(
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    if sum(alpha) != sum(beta) or sum(alpha) != sum(gamma):
-        raise ValueError("all three partitions must have the same size")
     scale = lambda lam, d: tuple(d * p for p in lam)
     for d in range(1, horizon + 1):
         g = kron(scale(alpha, d), scale(beta, d), scale(gamma, d))

@@ -9,14 +9,10 @@ through character values.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import ConsistencyError, Partition, check_partition, format_triple, partitions_of, z_order
+from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, format_triple, partitions_of, z_order
 from .characters import character
 
 DEGREE_CAP = 24
-
-
-class DegreeCapError(ValueError):
-    """The request exceeds the desk-scale degree limit."""
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ def plethysm_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     if deg != sum(nu):
         return 0
     if deg > DEGREE_CAP:
-        raise DegreeCapError(
+        raise SizeCapError(
             f"degree {deg} of {format_triple((lam, mu, nu))} exceeds the"
             f" desk-scale limit of {DEGREE_CAP}"
         )

@@ -79,25 +79,25 @@ def _row_data(table_id, idx):
 def test_criterion_1_first_table_reproduction():
     for idx, row in enumerate(TABLE_1.rows):
         bounds, _, sequence = _row_data("3.6.1", idx)
-        assert bounds["D1"] == row.cell("D1").expected, idx
-        assert bounds["DB"] == row.cell("DB").expected, idx
-        assert bounds["Dm"] == row.cell("Dm").expected, idx
-        cell = row.cell("DBOR2")
-        if cell.known_mismatch:
-            assert bounds["DBOR2"] == 5 and cell.expected == 6, idx
+        stored = dict(zip(TABLE_1.columns, row.expected))
+        assert bounds["D1"] == stored["D1"], idx
+        assert bounds["DB"] == stored["DB"], idx
+        assert bounds["Dm"] == stored["Dm"], idx
+        if row.known_mismatch == "DBOR2":
+            assert bounds["DBOR2"] == 5 and stored["DBOR2"] == 6, idx
         else:
-            assert bounds["DBOR2"] == cell.expected, idx
-        assert _stable_index(sequence, bounds["Dm"]) == row.cell("Dreal").expected, idx
-        for name in ("DV", "DBOR1"):
-            assert row.cell(name).provenance == "fixture"
+            assert bounds["DBOR2"] == stored["DBOR2"], idx
+        assert _stable_index(sequence, bounds["Dm"]) == stored["Dreal"], idx
+    assert TABLE_1.fixture_columns == {"DV", "DBOR1"}
     print("criterion 1 (first comparison table reproduced): PASS")
 
 
 def test_criterion_2_second_table_reproduction():
     for idx, row in enumerate(TABLE_2.rows):
         bounds, _, sequence = _row_data("3.6.2", idx)
-        assert bounds["D2"] == row.cell("D2").expected, idx
-        assert _stable_index(sequence, bounds["D2"]) == row.cell("Dreal").expected, idx
+        stored = dict(zip(TABLE_2.columns, row.expected))
+        assert bounds["D2"] == stored["D2"], idx
+        assert _stable_index(sequence, bounds["D2"]) == stored["Dreal"], idx
     print("criterion 2 (second comparison table reproduced): PASS")
 
 

@@ -16,7 +16,7 @@ from kronstab.bounds import (
     bound_values,
 )
 from kronstab.fixtures import TABLE_1, TABLE_2
-from kronstab.partitions import partitions_of
+from kronstab.partitions import PartitionError, partitions_of
 
 
 def _random_triples(count, seed=7, max_size=18):
@@ -31,34 +31,38 @@ def _random_triples(count, seed=7, max_size=18):
     return out
 
 
+def _stored(table, row, name):
+    return row.expected[table.columns.index(name)]
+
+
 def test_one_box_bound_on_reference_rows():
     for row in TABLE_1.rows:
-        assert bound_D1(*row.triple) == row.cell("D1").expected
+        assert bound_D1(*row.triple) == _stored(TABLE_1, row, "D1")
 
 
 def test_converted_bound_on_reference_rows():
     for row in TABLE_1.rows:
-        assert bound_DB(*row.triple) == row.cell("DB").expected
+        assert bound_DB(*row.triple) == _stored(TABLE_1, row, "DB")
 
 
 def test_second_converted_bound_on_reference_rows():
     for row in TABLE_1.rows:
-        cell = row.cell("DBOR2")
+        expected = _stored(TABLE_1, row, "DBOR2")
         got = bound_DBOR2(*row.triple)
-        if cell.known_mismatch:
-            assert got != cell.expected  # the recorded discrepancy stays
+        if row.known_mismatch == "DBOR2":
+            assert got != expected  # the recorded discrepancy stays
         else:
-            assert got == cell.expected
+            assert got == expected
 
 
 def test_combined_bound_on_reference_rows():
     for row in TABLE_1.rows:
-        assert bound_Dm(*row.triple) == row.cell("Dm").expected
+        assert bound_Dm(*row.triple) == _stored(TABLE_1, row, "Dm")
 
 
 def test_two_box_bound_on_reference_rows():
     for row in TABLE_2.rows:
-        assert bound_D2(*row.triple) == row.cell("D2").expected
+        assert bound_D2(*row.triple) == _stored(TABLE_2, row, "D2")
 
 
 def test_improvements_never_worse():
@@ -92,6 +96,16 @@ def test_degenerate_triples():
         bound_D2((3,), (2, 1), (2, 1))
     with pytest.raises(DegenerateTripleError):
         bound_hyperoct(((3,), (1,)), ((2, 2), (1,)), ((2, 1, 1), (2, 1, 1)))
+
+
+def test_hyperoct_bound_validates_halves():
+    with pytest.raises(PartitionError):
+        bound_hyperoct(((1, 2), (1,)), ((2, 1), ()), ((2, 1), (1,)))
+    with pytest.raises(PartitionError):
+        bound_hyperoct(((2, 1), (0,)), ((2, 1), ()), ((2, 1), (1,)))
+    triple = (((3, 1), (1,)), ((2, 2), (1,)), ((2, 1, 1), (2, 1, 1)))
+    as_lists = [[list(plus), list(minus)] for plus, minus in triple]
+    assert bound_hyperoct(*as_lists) == bound_hyperoct(*triple)
 
 
 def test_two_box_bound_swap_symmetric():

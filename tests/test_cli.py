@@ -32,6 +32,17 @@ def test_kron_size_cap(capsys):
     assert err == "error: size 51 of 51 / 51 / 51 exceeds the desk-scale limit of 50\n"
 
 
+def test_kron_size_mismatch_names_the_triple(capsys):
+    expected = (
+        "error: sizes 3, 3, 1 of 2,1 / 2,1 / 1 differ;"
+        " all three partitions must have the same size\n"
+    )
+    code, _, err = run(capsys, "kron", "2,1 / 2,1 / 1")
+    assert code == 1 and err == expected
+    code, _, err = run(capsys, "dreal", "murnaghan", "2,1 / 2,1 / 1")
+    assert code == 1 and err == expected
+
+
 def test_bound_all(capsys):
     code, out, _ = run(
         capsys, "bound", "murnaghan", "8,5,2 / 6,5,2,2 / 4,4,3,3,1", "--all"
@@ -135,6 +146,30 @@ def test_table_json_round_trip(capsys):
     assert row1["D1"] == {
         "expected": 6, "computed": 6, "provenance": "computed", "status": "match"
     }
+
+
+def test_table_fixture_and_known_mismatch_rendering(capsys):
+    code, out, _ = run(capsys, "table", "3.6.1", "--rows", "1")
+    assert code == 0
+    assert out.splitlines()[2] == (
+        "| 8,5,2 / 6,5,2,2 / 4,4,3,3,1 | 6 | 5 | 5 | 5 | 5 (fixture)"
+        " | 5 (fixture) | 5 (expected 6, mismatch-known) |"
+    )
+    code, out, _ = run(capsys, "table", "3.6.1", "--rows", "1", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == '"8,5,2 / 6,5,2,2 / 4,4,3,3,1",6,5,5,5,5,5,5'
+
+
+def test_table_rows_out_of_range(capsys):
+    code, out, err = run(capsys, "table", "3.6.2", "--rows", "13,0")
+    assert code == 2 and out == ""
+    assert err == "error: bad row '13' in --rows; valid rows are 1..12\n"
+
+
+def test_table_rows_not_a_number(capsys):
+    code, out, err = run(capsys, "table", "3.6.2", "--rows", "1,x")
+    assert code == 2 and out == ""
+    assert err == "error: bad row 'x' in --rows; valid rows are 1..12\n"
 
 
 def test_table_unknown_id(capsys):

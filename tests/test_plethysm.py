@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from kronstab.partitions import dim_gl, partitions_of
+from kronstab.partitions import SizeCapError, dim_gl, partitions_of
 from kronstab.plethysm import (
-    DegreeCapError,
     plethysm_coeff,
     plethysm_powersum,
     powersum_to_schur,
@@ -69,7 +68,7 @@ def test_size_mismatch_is_zero():
 
 
 def test_degree_cap():
-    with pytest.raises(DegreeCapError) as err:
+    with pytest.raises(SizeCapError) as err:
         plethysm_coeff((5,), (5,), (25,))
     assert str(err.value) == (
         "degree 25 of 5 / 5 / 25 exceeds the desk-scale limit of 24"
