@@ -13,7 +13,8 @@ one place that names the bound a family's certified index is read from.
 
 from itertools import permutations
 
-from .partitions import DoublePartition, Partition, check_partition, part_at
+from .hyperoct import format_double_partition, total_size
+from .partitions import DoublePartition, Partition, check_partition, format_partition, part_at, size_mismatch
 
 
 class DegenerateTripleError(ValueError):
@@ -219,8 +220,19 @@ CERTIFIED = {"murnaghan": "Dm", "squares": "D2"}
 def bound_values(family: str, lam, mu, nu) -> dict[str, int]:
     """Every bound of a family for one triple, in display order.
 
-    The triple holds partitions, or double partitions for "hyperoct".
+    The triple holds partitions, or double partitions for "hyperoct"; its
+    sizes, total sizes for double partitions, must agree.
     """
+    if family == "hyperoct":
+        triple = [(check_partition(p), check_partition(m)) for p, m in (lam, mu, nu)]
+        size, fmt = total_size, format_double_partition
+    else:
+        triple = [check_partition(p) for p in (lam, mu, nu)]
+        size, fmt = sum, format_partition
+    sizes = [size(p) for p in triple]
+    if len(set(sizes)) > 1:
+        raise size_mismatch(sizes, " / ".join(map(fmt, triple)))
+    lam, mu, nu = triple
     if family == "murnaghan":
         return {
             "D1": bound_D1(lam, mu, nu),

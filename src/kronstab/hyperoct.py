@@ -5,18 +5,19 @@ group are indexed by double partitions (plus, minus) of total size n.
 The tensor multiplicity is a convolution of Littlewood-Richardson (LR)
 and Kronecker coefficients over the four mixed blocks of the plus/minus
 splittings of the two factors.  Its eight factors link the shapes of a
-cycle, so each term is the trace of a product of eight sparse blocks.
+cycle, so each term is the trace of a product of eight sparse blocks,
+each built only over the shapes its neighbours on the cycle reach.
 """
 
 from functools import reduce
 from itertools import product
 from math import comb
 
-from .partitions import DoublePartition, Partition, PartitionError, SizeCapError, check_partition, dim_sn, format_partition, parse_partition, partitions_of
+from .partitions import DoublePartition, Partition, PartitionError, SizeCapError, check_partition, contains, dim_sn, format_partition, parse_partition, partitions_of
 from .kronecker import kron
 from .lr import lr
 
-SIZE_CAP = 8
+SIZE_CAP = 20
 
 
 def parse_double_partition(text: str) -> DoublePartition:
@@ -49,19 +50,30 @@ def dim_wreath(alpha: DoublePartition) -> int:
     return comb(total_size(alpha), sum(plus)) * dim_sn(plus) * dim_sn(minus)
 
 
-def _kron_block(d: Partition) -> dict:
-    """The nonzero ``kron(d, x, y)`` over x, y of the size of ``d``, as
+def _kron_block(d: Partition, xs, ys) -> dict:
+    """The nonzero ``kron(d, x, y)`` over x in ``xs`` and y in ``ys``, as
     ``{x: {y: g}}``."""
-    shapes = partitions_of(sum(d))
-    return {x: {y: g for y in shapes if (g := kron(d, x, y))} for x in shapes}
+    return {x: {y: g for y in ys if (g := kron(d, x, y))} for x in xs}
 
 
 def _lr_block(lam: Partition, s: int) -> dict:
     """Degree ``s`` of the coproduct of the Schur function of ``lam``: the
     nonzero ``lr(x, y, lam)`` over x of size s and y of size ``|lam| - s``,
-    as ``{x: {y: c}}``."""
-    ys = partitions_of(sum(lam) - s)
-    return {x: {y: c for y in ys if (c := lr(x, y, lam))} for x in partitions_of(s)}
+    both inside ``lam``, as ``{x: {y: c}}`` with no empty rows."""
+    xs, ys = ([x for x in partitions_of(k) if contains(lam, x)] for k in (s, sum(lam) - s))
+    return {x: row for x in xs if (row := {y: c for y in ys if (c := lr(x, y, lam))})}
+
+
+def _cols(block: dict) -> dict:
+    return dict.fromkeys(y for row in block.values() for y in row)
+
+
+def _kron_blocks(ds, before: dict, after: dict) -> dict:
+    """The Kronecker blocks of the shapes ``ds`` at one cycle position:
+    from the columns of the LR block before it to the rows of the one
+    after it, the only shapes a trace through it can use."""
+    xs = _cols(before)
+    return {d: _kron_block(d, xs, after) for d in ds}
 
 
 def _row_times(row: dict, block: dict) -> dict:
@@ -112,11 +124,15 @@ def hyperoct_coeff(
     s2, s3, s4 = sum(gp) - s1, sum(ap) - s1, sum(bp) - s1
     if odd or min(s1, s2, s3, s4) < 0:
         return 0
-    plus, minus = _entries(_lr_block(gp, s1)), _entries(_lr_block(gm, s3))
-    g = {d: _kron_block(d) for d in {d for x, y, _ in plus + minus for d in (x, y)}}
+    lr_gp, lr_gm = _lr_block(gp, s1), _lr_block(gm, s3)
     lr_bp, lr_am = _lr_block(bp, s1), _lr_block(am, s4)
     lr_bm, lr_ap = _lr_block(bm, s2), _lr_block(ap, s3)
+    g1 = _kron_blocks(lr_gp, lr_ap, lr_bp)
+    g4 = _kron_blocks(_cols(lr_gm), lr_bp, lr_am)
+    g2 = _kron_blocks(_cols(lr_gp), lr_am, lr_bm)
+    g3 = _kron_blocks(lr_gm, lr_bm, lr_ap)
+    plus, minus = _entries(lr_gp), _entries(lr_gm)
     return sum(
-        c12 * c34 * _trace(g[d1], lr_bp, g[d4], lr_am, g[d2], lr_bm, g[d3], lr_ap)
+        c12 * c34 * _trace(g1[d1], lr_bp, g4[d4], lr_am, g2[d2], lr_bm, g3[d3], lr_ap)
         for (d1, d2, c12), (d3, d4, c34) in product(plus, minus)
     )

@@ -3,7 +3,7 @@
 from math import factorial
 
 # ConsistencyError and character are re-exported for existing importers.
-from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, class_sizes, format_triple
+from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, class_sizes, format_triple, size_mismatch
 from .characters import beta_mask, character, class_id, mn
 
 # Above the north star's n = 48, where a cold call takes seconds and
@@ -25,10 +25,7 @@ def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     gamma = check_partition(gamma)
     n = sum(alpha)
     if sum(beta) != n or sum(gamma) != n:
-        raise ValueError(
-            f"sizes {n}, {sum(beta)}, {sum(gamma)} of {format_triple((alpha, beta, gamma))}"
-            " differ; all three partitions must have the same size"
-        )
+        raise size_mismatch((n, sum(beta), sum(gamma)), format_triple((alpha, beta, gamma)))
     if n > KRON_SIZE_CAP:
         raise SizeCapError(
             f"size {n} of {format_triple((alpha, beta, gamma))}"

@@ -2,11 +2,7 @@
 
 from functools import cache
 
-from .partitions import Partition, check_partition, part_at
-
-
-def _contains(outer: Partition, inner: Partition) -> bool:
-    return all(part_at(outer, i + 1) >= p for i, p in enumerate(inner))
+from .partitions import Partition, check_partition, contains, part_at
 
 
 def lr(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -26,7 +22,7 @@ def lr(lam: Partition, mu: Partition, nu: Partition) -> int:
 def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     if sum(lam) + sum(mu) != sum(nu):
         return 0
-    if not _contains(nu, lam) or not _contains(nu, mu):
+    if not contains(nu, lam) or not contains(nu, mu):
         return 0
     if not mu:
         return 1

@@ -107,11 +107,24 @@ def format_triple(triple) -> str:
     return " / ".join(format_partition(p) for p in triple)
 
 
+def size_mismatch(sizes, text: str) -> ValueError:
+    """The error for a triple, rendered as ``text``, whose sizes differ."""
+    return ValueError(
+        f"sizes {', '.join(map(str, sizes))} of {text} differ;"
+        " all three partitions must have the same size"
+    )
+
+
 def part_at(lam: Partition, k: int) -> int:
     """The k-th part (1-based); zero beyond the length."""
     if k < 1:
         raise IndexError("part index is 1-based")
     return lam[k - 1] if k <= len(lam) else 0
+
+
+def contains(outer: Partition, inner: Partition) -> bool:
+    """Whether the diagram of ``inner`` fits inside that of ``outer``."""
+    return all(part_at(outer, i) >= p for i, p in enumerate(inner, 1))
 
 
 def add_scaled(lam: Partition, d: int, pi: Partition) -> Partition:

@@ -5,7 +5,10 @@ A bound b is sound for a triple when the shifted sequence is constant on
 symmetric in the three partitions and so is its direction, so each
 multiset of three partitions is checked once.  The squares direction is
 symmetric in the first two partitions only, and D2 needs both of them to
-have two or more rows.
+have two or more rows.  So is the hyperoctahedral coefficient in its
+first two double partitions, and ``bound_hyperoct`` needs both of their
+plus parts to have two or more rows; its sequence adds one box to every
+plus part's first row, and an empty plus part grows as (d).
 """
 
 from functools import cache
@@ -14,27 +17,42 @@ from itertools import combinations_with_replacement
 import pytest
 
 from kronstab.bounds import bound_values
+from kronstab.hyperoct import hyperoct_coeff
 from kronstab.partitions import partitions_of
 from kronstab.stabilization import DIRECTIONS, sequence_term
 
 MARGIN = 2
-MAX_SIZE = {"murnaghan": 8, "squares": 7}
+MAX_SIZE = {"murnaghan": 8, "squares": 7, "hyperoct": 5}
 
 
 def _triples(family):
     for n in range(1, MAX_SIZE[family] + 1):
-        shapes = partitions_of(n)
+        if family == "hyperoct":
+            shapes = [(p, m) for k in range(n + 1)
+                      for p in partitions_of(k) for m in partitions_of(n - k)]
+            long = [dp for dp in shapes if len(dp[0]) >= 2]
+        else:
+            shapes = partitions_of(n)
+            long = [p for p in shapes if len(p) >= 2]
         if family == "murnaghan":
             yield from combinations_with_replacement(shapes, 3)
             continue
-        long = [p for p in shapes if len(p) >= 2]
         for lam, mu in combinations_with_replacement(long, 2):
             for nu in shapes:
                 yield lam, mu, nu
 
 
+def _grow(double, d):
+    plus, minus = double
+    if plus:
+        return (plus[0] + d,) + plus[1:], minus
+    return (d,) if d else (), minus
+
+
 @cache
 def _term(family, triple, d):
+    if family == "hyperoct":
+        return hyperoct_coeff(*(_grow(dp, d) for dp in triple))
     return sequence_term(triple, DIRECTIONS[family], d)
 
 
@@ -52,7 +70,7 @@ def _gate(family):
     ]
 
 
-@pytest.mark.parametrize("family, name", _gate("murnaghan") + _gate("squares"))
+@pytest.mark.parametrize("family, name", _gate("murnaghan") + _gate("squares") + _gate("hyperoct"))
 def test_bound_is_sound(family, name):
     violations = []
     for triple in _triples(family):

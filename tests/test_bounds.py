@@ -137,7 +137,7 @@ def test_bound_values():
     assert list(values) == ["D1", "DB", "DB_improved", "DBOR2", "DBOR2_improved", "Dm"]
     assert values["D1"] == 6 and values["Dm"] == 5 and values["DB"] == 5
     assert bound_values("squares", *TABLE_2.rows[9].triple) == {"D2": 1}
-    double = (((3, 1), (1,)), ((2, 2), (1,)), ((2, 1, 1), (2, 1, 1)))
+    double = (((3, 1), (1,)), ((2, 2), (1,)), ((2, 1, 1), (1,)))
     assert bound_values("hyperoct", *double) == {"D_hyperoct": bound_hyperoct(*double)}
     with pytest.raises(ValueError):
         bound_values("nope", (1,), (1,), (1,))

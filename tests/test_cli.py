@@ -71,11 +71,28 @@ def test_bound_squares(capsys):
 
 def test_bound_hyperoct(capsys):
     code, out, _ = run(
-        capsys, "bound", "hyperoct", "3,1;1 / 2,2;1 / 2,1,1;2,1,1"
+        capsys, "bound", "hyperoct", "3,1;1 / 2,2;1 / 2,1,1;1"
     )
     assert code == 0
     value = int(out.split("=")[1])
     assert value >= 0
+
+
+# A triple of unequal (total) sizes has no sequence, so it has no bound.
+MISMATCHED = {
+    "squares": ("3,1 / 2,2 / 1,1,1", "4, 4, 3"),
+    "murnaghan": ("2,1 / 2,1 / 1", "3, 3, 1"),
+    "hyperoct": ("2,1;1 / 2,1;- / 1,1;1", "4, 3, 3"),
+}
+
+
+@pytest.mark.parametrize("family", MISMATCHED)
+def test_bound_size_mismatch(capsys, family):
+    triple, sizes = MISMATCHED[family]
+    code, out, err = run(capsys, "bound", family, triple, "--all")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: sizes {sizes} of ")
+    assert err.endswith(" differ; all three partitions must have the same size\n")
 
 
 def test_dreal(capsys):

@@ -68,7 +68,7 @@ def test_reduces_to_kronecker_with_empty_minus_parts():
 
 
 def test_dimension_consistency():
-    for n in range(1, 5):
+    for n in range(1, 6):
         dps = double_partitions(n)
         for a in dps:
             for b in dps:
@@ -85,13 +85,19 @@ def test_scaled_square_pairs_stay_simple():
 
 
 def test_size_cap():
-    big = ((5,), (5,))
+    big = ((6, 5), (5, 5))
     with pytest.raises(SizeCapError) as err:
         hyperoct_coeff(big, big, big)
     assert str(err.value) == (
-        "total size 10 of 5;5 / 5;5 / 5;5 exceeds the desk-scale limit of 8"
+        "total size 21 of 6,5;5,5 / 6,5;5,5 / 6,5;5,5 exceeds the desk-scale limit of 20"
     )
-    assert total_size(big) == 10
+    assert total_size(big) == 21
+
+
+def test_size_20_query_under_the_default_cap():
+    # One block of size 19, of which the cycle uses a single entry.
+    a, c = ((10, 9), (1,)), ((10, 10), ())
+    assert hyperoct_coeff(a, a, c) == 1
 
 
 def test_list_input_equals_tuple_input():
