@@ -5,7 +5,6 @@ The empty partition is ``()``.  All functions treat a partition of length
 is well defined for every ``k >= 1``.
 """
 
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
@@ -194,20 +193,25 @@ def dim_sn(lam: Partition) -> int:
 def dim_gl(lam: Partition, m: int) -> int:
     """Dimension of the GL(m) irreducible with highest weight ``lam``.
 
-    Computed by the Weyl dimension formula as a product of exact
-    rationals.  Zero when ``lam`` has more than ``m`` rows.
+    Computed by the Weyl dimension formula: the integer products of the
+    numerators ``lam_i - lam_j + j - i`` and of the denominators
+    ``j - i`` over ``i < j <= m``, then one exact division.  Factors with
+    ``i > len(lam)`` equal 1 and are skipped.  Zero when ``lam`` has more
+    than ``m`` rows.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if len(lam) > m:
         return 0
-    prod = Fraction(1)
-    for i in range(1, m + 1):
+    num = den = 1
+    for i in range(1, len(lam) + 1):
         for j in range(i + 1, m + 1):
-            prod *= Fraction(part_at(lam, i) - part_at(lam, j) + j - i, j - i)
-    if prod.denominator != 1:
-        raise ConsistencyError(f"Weyl dimension {prod} of {lam} for GL({m}) is not an integer")
-    return int(prod)
+            num *= part_at(lam, i) - part_at(lam, j) + j - i
+            den *= j - i
+    dim, rem = divmod(num, den)
+    if rem:
+        raise ConsistencyError(f"Weyl dimension {num}/{den} of {lam} for GL({m}) is not an integer")
+    return dim
 
 
 def z_order(rho: Partition) -> int:

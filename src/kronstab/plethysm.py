@@ -3,13 +3,15 @@
 All internal computation happens in the power-sum basis, where plethysm
 is the algebra morphism generated by ``p_k`` composed with ``p_m`` giving
 ``p_{k*m}``.  Schur functions appear only at the boundary, converted
-through character values.
+through character values.  Coefficients are integers over one common
+denominator, so the only division is the final exactness check.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, gcd
 
-from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, format_triple, partitions_of, z_order
+from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, class_sizes, format_triple, partitions_of
 from .characters import character
 
 DEGREE_CAP = 24
@@ -17,14 +19,16 @@ DEGREE_CAP = 24
 
 @dataclass(frozen=True)
 class SymFunc:
-    """A homogeneous symmetric function: a basis tag and a finite map
-    from partitions to rational coefficients (zeros omitted)."""
+    """A homogeneous symmetric function: a basis tag, a finite map from
+    partitions to integer numerators (zeros omitted) and their common
+    positive denominator, in lowest terms."""
 
     basis: str  # "powersum" or "schur"
-    coeffs: tuple[tuple[Partition, Fraction], ...]
+    coeffs: tuple[tuple[Partition, int], ...]
+    denom: int = 1
 
     def as_dict(self) -> dict[Partition, Fraction]:
-        return dict(self.coeffs)
+        return {lam: Fraction(c, self.denom) for lam, c in self.coeffs}
 
     def degree(self) -> int:
         for lam, _ in self.coeffs:
@@ -32,22 +36,20 @@ class SymFunc:
         return 0
 
 
-def _make(basis: str, d: dict[Partition, Fraction]) -> SymFunc:
-    items = tuple(sorted(((k, v) for k, v in d.items() if v), reverse=True))
-    return SymFunc(basis, items)
+def _make(basis: str, d: dict[Partition, int], denom: int) -> SymFunc:
+    g = gcd(denom, *d.values())
+    items = tuple(sorted(((k, v // g) for k, v in d.items() if v), reverse=True))
+    return SymFunc(basis, items, denom // g)
 
 
 def schur_to_powersum(lam: Partition) -> SymFunc:
     """Power-sum expansion of a Schur function: the coefficient of
-    ``p_rho`` is ``character(lam, rho) / z(rho)``."""
+    ``p_rho`` is ``character(lam, rho) / z(rho)``, held as the class
+    size times the character value over ``n!``."""
     lam = check_partition(lam)
     n = sum(lam)
-    d = {}
-    for rho in partitions_of(n):
-        c = character(lam, rho)
-        if c:
-            d[rho] = Fraction(c, z_order(rho))
-    return _make("powersum", d)
+    d = {rho: character(lam, rho) * size for rho, size in class_sizes(n)}
+    return _make("powersum", d, factorial(n))
 
 
 def powersum_to_schur(f: SymFunc) -> SymFunc:
@@ -56,14 +58,11 @@ def powersum_to_schur(f: SymFunc) -> SymFunc:
     rho)`` over the terms of ``f``."""
     if f.basis != "powersum":
         raise ValueError("expected a power-sum element")
-    n = f.degree()
-    terms = f.as_dict()
-    d = {}
-    for nu in partitions_of(n):
-        s = sum((c * character(nu, rho) for rho, c in terms.items()), Fraction(0))
-        if s:
-            d[nu] = s
-    return _make("schur", d)
+    d = {
+        nu: sum(c * character(nu, rho) for rho, c in f.coeffs)
+        for nu in partitions_of(f.degree())
+    }
+    return _make("schur", d, f.denom)
 
 
 def plethysm_powersum(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -71,27 +70,29 @@ def plethysm_powersum(f: SymFunc, g: SymFunc) -> SymFunc:
 
     ``p_k`` composed with ``g`` multiplies every index of ``g`` by
     ``k``; composition is extended multiplicatively over the parts of
-    each index of ``f``, with the rational coefficients of ``f`` left
-    fixed.
+    each index ``rho`` of ``f``, with the coefficients of ``f`` left
+    fixed.  That product lies over ``g.denom ** len(rho)``, so each term
+    is scaled by ``g.denom ** (deg f - len(rho))`` to put every term over
+    ``f.denom * g.denom ** deg f``.
     """
     if f.basis != "powersum" or g.basis != "powersum":
         raise ValueError("both arguments must be power-sum elements")
-    gd = g.as_dict()
-    out: dict[Partition, Fraction] = {}
+    deg = f.degree()
+    out: dict[Partition, int] = {}
     for rho, a in f.coeffs:
         # product over parts k of rho of (g with indices scaled by k)
-        partial: dict[Partition, Fraction] = {(): a}
+        partial: dict[Partition, int] = {(): a * g.denom ** (deg - len(rho))}
         for k in rho:
-            nxt: dict[Partition, Fraction] = {}
-            for sigma, b in gd.items():
+            nxt: dict[Partition, int] = {}
+            for sigma, b in g.coeffs:
                 scaled = tuple(k * s for s in sigma)
                 for idx, c in partial.items():
                     key = tuple(sorted(idx + scaled, reverse=True))
-                    nxt[key] = nxt.get(key, Fraction(0)) + c * b
+                    nxt[key] = nxt.get(key, 0) + c * b
             partial = nxt
         for idx, c in partial.items():
-            out[idx] = out.get(idx, Fraction(0)) + c
-    return _make("powersum", out)
+            out[idx] = out.get(idx, 0) + c
+    return _make("powersum", out, f.denom * g.denom ** deg)
 
 
 def plethysm_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -111,11 +112,10 @@ def plethysm_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
             f" desk-scale limit of {DEGREE_CAP}"
         )
     comp = plethysm_powersum(schur_to_powersum(lam), schur_to_powersum(mu))
-    total = sum(
-        (c * character(nu, rho) for rho, c in comp.coeffs), Fraction(0)
-    )
-    if total.denominator != 1 or total < 0:
+    total = sum(c * character(nu, rho) for rho, c in comp.coeffs)
+    coeff, rem = divmod(total, comp.denom)
+    if rem or coeff < 0:
         raise ConsistencyError(
-            f"plethysm coefficient came out {total} for {lam}, {mu}, {nu}"
+            f"plethysm coefficient came out {total}/{comp.denom} for {lam}, {mu}, {nu}"
         )
-    return int(total)
+    return coeff

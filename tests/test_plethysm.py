@@ -73,3 +73,44 @@ def test_degree_cap():
     assert str(err.value) == (
         "degree 25 of 5 / 5 / 25 exceeds the desk-scale limit of 24"
     )
+
+
+# Values the engine produced for perfbench/reference.json before its
+# coefficients became integers over one common denominator; they pin it
+# at the sizes the benchmark runs.
+@pytest.mark.parametrize(
+    "lam, mu, nu, expected",
+    [
+        ((3, 1, 1, 1), (2, 2), (8, 4, 3, 2, 2, 2, 2, 1), 81),
+        ((5, 1), (4,), (11, 7, 3, 2, 1), 24),
+        ((8,), (3,), (9, 7, 5, 2, 1), 4),
+        ((11, 1), (2,), (12, 12), 0),
+        ((3,), (4, 2), (8, 4, 2, 2, 1, 1), 1),
+    ],
+)
+def test_reference_values(lam, mu, nu, expected):
+    assert plethysm_coeff(lam, mu, nu) == expected
+
+
+@pytest.mark.parametrize(
+    "lam, mu", [((3,), (4,)), ((2, 1), (2, 2)), ((2, 1), (3, 2)), ((4,), (2, 2))]
+)
+def test_dimension_consistency_above_degree_8(lam, mu):
+    schur = powersum_to_schur(
+        plethysm_powersum(schur_to_powersum(lam), schur_to_powersum(mu))
+    )
+    for n in range(2, 5):
+        total = sum(c * dim_gl(nu, n) for nu, c in schur.as_dict().items())
+        assert total == dim_gl(lam, dim_gl(mu, n))
+
+
+def test_empty_shapes():
+    # s_lam[1] = <s_lam, h_n>: 1 for one row (and for the empty shape,
+    # through 0! = 1), 0 otherwise
+    for lam, expected in (((), 1), ((2,), 1), ((3,), 1), ((1, 1), 0), ((2, 1), 0)):
+        assert plethysm_coeff(lam, (), ()) == expected
+    assert plethysm_coeff((), (2, 1), ()) == 1
+
+
+def test_lists_are_accepted():
+    assert plethysm_coeff([2], [1, 1], [2, 2]) == 1
