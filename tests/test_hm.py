@@ -28,6 +28,7 @@ from kronstab.hm import (
     tau_squares,
 )
 from kronstab.fixtures import TABLE_1, TABLE_2
+from kronstab.partitions import partitions_of
 
 matrices = st.integers(1, 5).flatmap(
     lambda n: st.lists(
@@ -163,3 +164,51 @@ def test_hyperoct_scenario_matches_closed_form():
     for lam, mu, nu in cases:
         factors, base = tau0_hyperoct(lam, mu, nu)
         assert hm_bound(factors, base) == bound_hyperoct(lam, mu, nu)
+
+
+def _scenario_and_closed_form(lam, mu, nu):
+    """Each scenario's bound beside its closed form, for the scenarios
+    whose length preconditions the ordered triple meets."""
+    n1, n2, n3 = len(lam), len(mu), len(nu)
+    pairs = {}
+    if min(n1, n2) >= 2:
+        pairs["D1"] = (
+            hm_bound(*tau0_murnaghan(lam, mu, nu)),
+            bound_D1(lam, mu, nu, minimize_over_orderings=False),
+        )
+        pairs["D2"] = (
+            max(hm_bound(*s) for s in tau_squares(lam, mu, nu)),
+            bound_D2(lam, mu, nu),
+        )
+    if min(n1, n2, n3) >= 2:
+        rotations = ((lam, mu, nu), (mu, nu, lam), (nu, lam, mu))
+        pairs["DB_improved"] = (
+            min(hm_bound(*tau_B(*t)) for t in rotations),
+            bound_DB_improved(lam, mu, nu),
+        )
+    if min(n1, n2) >= 3:
+        pairs["DBOR2_fixed"] = (
+            hm_bound(*tau_BOR2(lam, mu, nu)),
+            max(0, dbor2_improved_fixed(lam, mu, nu)),
+        )
+    return pairs
+
+
+def test_every_scenario_matches_its_closed_form_on_small_triples():
+    # All ordered triples with n <= 6, and all double-partition triples
+    # of total size <= 4 whose first two plus parts have two or more rows.
+    disagreements = []
+    for n in range(1, 7):
+        for triple in itertools.product(partitions_of(n), repeat=3):
+            for name, (hm, closed) in _scenario_and_closed_form(*triple).items():
+                if hm != closed:
+                    disagreements.append((name, triple, hm, closed))
+    for n in range(1, 5):
+        shapes = [(p, m) for k in range(n + 1)
+                  for p in partitions_of(k) for m in partitions_of(n - k)]
+        long = [dp for dp in shapes if len(dp[0]) >= 2]
+        for triple in itertools.product(long, long, shapes):
+            hm, closed = hm_bound(*tau0_hyperoct(*triple)), bound_hyperoct(*triple)
+            if hm != closed:
+                disagreements.append(("D_hyperoct", triple, hm, closed))
+    assert disagreements == []
