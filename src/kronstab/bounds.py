@@ -26,17 +26,23 @@ def _ceil_half(x: int) -> int:
     return -((-x) // 2)
 
 
+def _one_box_tail(nu: Partition, side: int, P: int) -> int:
+    """2(nu_2 - nu_P) + sum over k = 1..side of (nu_{k+2} - nu_{P-k}): the
+    maximum over the dual tensor flag of dimension P, last position on
+    weight 0, whose weights (2, 1^side, 0, ..., (-1)^side, -2) are the
+    pairwise sums of two (1, -1, 0, ...) spaces of lengths adding up to
+    side + 4."""
+    expr = 2 * (part_at(nu, 2) - part_at(nu, P))
+    for k in range(1, side + 1):
+        expr += part_at(nu, k + 2) - part_at(nu, P - k)
+    return expr
+
+
 def _d1_fixed(lam: Partition, mu: Partition, nu: Partition) -> int:
     n1, n2 = len(lam), len(mu)
     if n1 < 2 or n2 < 2:
         raise DegenerateTripleError("first two partitions need length >= 2")
-    P = n1 * n2
-    expr = (
-        -lam[0] + lam[1] - mu[0] + mu[1]
-        + 2 * (part_at(nu, 2) - part_at(nu, P))
-    )
-    for k in range(1, n1 + n2 - 3):
-        expr += part_at(nu, k + 2) - part_at(nu, P - k)
+    expr = -lam[0] + lam[1] - mu[0] + mu[1] + _one_box_tail(nu, n1 + n2 - 4, n1 * n2)
     return max(0, _ceil_half(expr))
 
 
@@ -66,26 +72,19 @@ def bound_D1(
 def bound_D2(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Bound for the squares family, with the branch structure on the
     lengths of the first two partitions (the formula is symmetric under
-    swapping them)."""
+    swapping them, so a two-row second partition is swapped first)."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    n1, n2 = len(lam), len(mu)
-    if n1 < 2 or n2 < 2:
+    if len(lam) < 2 or len(mu) < 2:
         raise DegenerateTripleError("both partitions need length >= 2")
+    if len(mu) == 2 < len(lam):
+        lam, mu = mu, lam
+    n1, n2 = len(lam), len(mu)
     m = max(-part_at(lam, 2) - part_at(mu, 1), -part_at(lam, 1) - part_at(mu, 2))
-    if n1 >= 3 and n2 >= 3:
-        P = n1 * n2
-        expr = m + part_at(lam, 3) + part_at(mu, 3) + 2 * (
-            part_at(nu, 2) - part_at(nu, P)
-        )
-        for k in range(1, n1 + n2 - 3):
-            expr += part_at(nu, k + 2) - part_at(nu, P - k)
-    elif n1 == 2:
+    if n1 >= 3:
+        expr = m + part_at(lam, 3) + part_at(mu, 3) + _one_box_tail(nu, n1 + n2 - 4, n1 * n2)
+    else:
         expr = m + part_at(mu, 3) + 2 * part_at(nu, 2) - part_at(nu, 2 * n2)
         for k in range(1, n2):
-            expr += part_at(nu, k + 2)
-    else:  # n2 == 2, n1 >= 3
-        expr = m + part_at(lam, 3) + 2 * part_at(nu, 2) - part_at(nu, 2 * n1)
-        for k in range(1, n1):
             expr += part_at(nu, k + 2)
     return max(0, _ceil_half(expr))
 
@@ -202,12 +201,9 @@ def bound_hyperoct(lam: DoublePartition, mu: DoublePartition, nu: DoublePartitio
     m = a1 * b1 + a2 * b2
     n = a1 * b2 + a2 * b1
     expr = (
-        -part_at(lp, 1) + part_at(lp, 2)
-        - part_at(mp, 1) + part_at(mp, 2)
-        + 2 * (part_at(np_, 2) - part_at(np_, m))
+        -part_at(lp, 1) + part_at(lp, 2) - part_at(mp, 1) + part_at(mp, 2)
+        + _one_box_tail(np_, a1 + b1 - 4, m)
     )
-    for k in range(1, a1 + b1 - 3):
-        expr += part_at(np_, k + 2) - part_at(np_, m - k)
     for k in range(1, a2 + b2 + 1):
         expr += part_at(nm, k) - part_at(nm, n - k + 1)
     return max(0, _ceil_half(expr))

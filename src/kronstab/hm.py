@@ -163,10 +163,38 @@ def hm_bound(factors: list[ScenarioFactor], mu_lbar: int) -> int:
 
 # ---------------------------------------------------------------------------
 # scenario builders
+#
+# A scenario puts torus weights on the small spaces; each tensor line
+# U_i ⊗ V_j carries the sum of its factors' weights.  The builders give
+# the small weights as {weight: multiplicity} dicts and sum over those
+# (at most three per space), never over the n1·n2 lines.
 
 
-def _weights(*pairs: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-    return tuple((w, m) for w, m in pairs if m > 0)
+def _small(objective: Partition, weights: dict[int, int], *pins: int) -> ScenarioFactor:
+    """A small space's flag; ``pins[i]`` is the weight at position i + 1."""
+    return ScenarioFactor(
+        objective, sum(weights.values()), tuple(weights.items()),
+        pinned=tuple(enumerate(pins, 1)),
+    )
+
+
+def _tensor(objective: Partition, blocks: list, last: tuple[int, ...] | None = None,
+            moved: tuple[int, int] | None = None) -> ScenarioFactor:
+    """The dual big flag on the direct sum of the products U ⊗ V in
+    ``blocks``, weighted by pairwise sums; ``moved=(old, new)`` relabels
+    one line of weight old as new."""
+    sums: dict[int, int] = {}
+    for u, v in blocks:
+        for a, i in u.items():
+            for b, j in v.items():
+                sums[a + b] = sums.get(a + b, 0) + i * j
+    if moved:
+        old, new = moved
+        sums[old] -= 1
+        sums[new] = sums.get(new, 0) + 1
+    return ScenarioFactor(
+        objective, sum(sums.values()), tuple(sums.items()), dual=True, last_classes=last
+    )
 
 
 def tau0_murnaghan(
@@ -174,26 +202,16 @@ def tau0_murnaghan(
 ) -> tuple[list[ScenarioFactor], int]:
     """Destabilizing scenario for the one-box growth direction.
 
-    Torus weights (1, -1, 0, ...) on the first space and (-1, 1, 0, ...)
-    on the second; the dual tensor factor keeps the last flag position on
+    Torus weights (1, -1, 0, ...) on both small spaces, with weight 1
+    pinned first; the dual tensor factor keeps the last flag position on
     the zero weight class (the kernel of the base point's form contains
     no diagonal line).  Returns (factors, base weight).
     """
     n1, n2 = len(lam), len(mu)
     if n1 < 2 or n2 < 2:
         raise ScenarioError("both factor partitions need length >= 2")
-    P = n1 * n2
-    side = n1 + n2 - 4
-    f1 = ScenarioFactor(lam, n1, _weights((1, 1), (-1, 1), (0, n1 - 2)), pinned=((1, 1),))
-    f2 = ScenarioFactor(mu, n2, _weights((1, 1), (-1, 1), (0, n2 - 2)), pinned=((1, 1),))
-    f3 = ScenarioFactor(
-        nu,
-        P,
-        _weights((2, 1), (-2, 1), (1, side), (-1, side), (0, P - 2 - 2 * side)),
-        dual=True,
-        last_classes=(0,),
-    )
-    return [f1, f2, f3], 2
+    u, v = {1: 1, -1: 1, 0: n1 - 2}, {1: 1, -1: 1, 0: n2 - 2}
+    return [_small(lam, u, 1), _small(mu, v, 1), _tensor(nu, [(u, v)], last=(0,))], 2
 
 
 def tau_squares(
@@ -201,89 +219,52 @@ def tau_squares(
 ) -> list[tuple[list[ScenarioFactor], int]]:
     """The two destabilizing scenarios for the two-box growth direction.
 
-    Both pin the first two positions of each small flag; they differ in
-    which weights sit there.  Dimension-2 factors carry the truncated
-    weight data implied by the corresponding closed-form branch.
+    Each small space of dimension >= 3 carries (1, -1, 0, ...), one of
+    dimension 2 carries weights 1 and 0.  Both scenarios pin weights 0 and 1 at
+    the first two positions of each small flag, in opposite orders on
+    the two flags: (0, 1) and (1, 0), then (1, 0) and (0, 1).
     """
     n1, n2 = len(lam), len(mu)
     if n1 < 2 or n2 < 2:
         raise ScenarioError("both factor partitions need length >= 2")
-    if n2 == 2 and n1 >= 3:
+    if n2 == 2 < n1:
         return tau_squares(mu, lam, nu)
-    P = n1 * n2
-
-    def small_flag(objective: Partition, dim: int, first_w: int, second_w: int):
-        if dim >= 3:
-            ws = _weights((1, 1), (-1, 1), (0, dim - 2))
-        else:
-            ws = _weights((first_w, 1), (second_w, 1))
-        return ScenarioFactor(
-            objective, dim, ws, pinned=((1, first_w), (2, second_w))
-        )
-
-    if n1 >= 3 and n2 >= 3:
-        side = n1 + n2 - 4
-        tensor_ws = _weights(
-            (2, 1), (-2, 1), (1, side), (-1, side), (0, P - 2 - 2 * side)
-        )
-    else:
-        # n1 == 2 branch: one short factor flattens the weight spectrum
-        tensor_ws = _weights((2, 1), (1, n2 - 1), (0, n2 - 1), (-1, 1))
-    f3 = ScenarioFactor(nu, P, tensor_ws, dual=True, last_classes=(0,))
-    return [
-        ([small_flag(lam, n1, 0, 1), small_flag(mu, n2, 1, 0), f3], 2),
-        ([small_flag(lam, n1, 1, 0), small_flag(mu, n2, 0, 1), f3], 2),
-    ]
+    u, v = ({1: 1, -1: 1, 0: n - 2} if n >= 3 else {1: 1, 0: 1} for n in (n1, n2))
+    # With two rows each, D2 subtracts nu_4, so one line needs weight -1:
+    # the paper's spectrum is {2, 1, 0, -1}, the pairwise sums {2, 1, 1, 0}.
+    big = _tensor(nu, [(u, v)], last=(0,), moved=(1, -1) if n2 == 2 else None)
+    return [([_small(lam, u, *p), _small(mu, v, *p[::-1]), big], 2) for p in ((0, 1), (1, 0))]
 
 
 def tau_B(
     lam: Partition, mu: Partition, nu: Partition
 ) -> tuple[list[ScenarioFactor], int]:
     """Scenario behind the long-nu improvement of the first converted
-    external bound: weights (1, 0, ...) and (-1, 0, -1, ..., -1)."""
+    external bound: weights (1, 0, ..., 0) and (0, -1, ..., -1), with 1
+    and 0 pinned first."""
     n1, n2 = len(lam), len(mu)
     if n1 < 1 or n2 < 2:
         raise ScenarioError("factor partitions too short for this scenario")
-    P = n1 * n2
-    f1 = ScenarioFactor(lam, n1, _weights((1, 1), (0, n1 - 1)), pinned=((1, 1),))
-    f2 = ScenarioFactor(mu, n2, _weights((0, 1), (-1, n2 - 1)), pinned=((1, 0),))
+    u, v = {1: 1, 0: n1 - 1}, {0: 1, -1: n2 - 1}
     last = (0, -1) if min(n1, n2) >= 3 else (0,)
-    f3 = ScenarioFactor(
-        nu,
-        P,
-        _weights((1, 1), (0, n1 + n2 - 2), (-1, (n1 - 1) * (n2 - 1))),
-        dual=True,
-        last_classes=last,
-    )
-    return [f1, f2, f3], 1
+    return [_small(lam, u, 1), _small(mu, v, 0), _tensor(nu, [(u, v)], last=last)], 1
 
 
 def tau_BOR2(
     lam: Partition, mu: Partition, nu: Partition
 ) -> tuple[list[ScenarioFactor], int]:
     """Scenario behind the improved second converted bound: weights
-    (1, -1, 0, ...) and (-2, 0, -1, ..., -1); every diagonal tensor line
-    carries weight -1, which constrains the last flag position."""
+    (1, -1, 0, ..., 0) and (0, -2, -1, ..., -1), with 1 and 0 pinned
+    first; every diagonal tensor line carries weight -1, which constrains
+    the last flag position."""
     n1, n2 = len(lam), len(mu)
     if n1 < 3 or n2 < 3:
         raise ScenarioError("both factor partitions need length >= 3")
-    P = n1 * n2
-    f1 = ScenarioFactor(lam, n1, _weights((1, 1), (-1, 1), (0, n1 - 2)), pinned=((1, 1),))
-    f2 = ScenarioFactor(mu, n2, _weights((-2, 1), (0, 1), (-1, n2 - 2)), pinned=((1, 0),))
-    f3 = ScenarioFactor(
-        nu,
-        P,
-        _weights(
-            (1, 1),
-            (0, n1 + n2 - 4),
-            (-1, (n1 - 2) * (n2 - 2) + 1),
-            (-2, n1 + n2 - 3),
-            (-3, 1),
-        ),
-        dual=True,
-        last_classes=(-1,),
-    )
-    return [f1, f2, f3], 2
+    u, v = {1: 1, -1: 1, 0: n1 - 2}, {0: 1, -2: 1, -1: n2 - 2}
+    # The converted bound subtracts 2*nu_q on n1 + n2 - 3 positions, one
+    # more than the pairwise sums give weight -2, so one -1 moves to -2.
+    big = _tensor(nu, [(u, v)], last=(-1,), moved=(-1, -2))
+    return [_small(lam, u, 1), _small(mu, v, 0), big], 2
 
 
 def tau0_hyperoct(
@@ -292,44 +273,17 @@ def tau0_hyperoct(
     nu: tuple[Partition, Partition],
 ) -> tuple[list[ScenarioFactor], int]:
     """Hyperoctahedral analogue of the one-box scenario: the plus parts
-    of the two small spaces carry the (1, -1, 0, ...) and (-1, 1, 0, ...)
-    weights, the minus parts are weight-free, and the two big flags mix
-    the blocks accordingly."""
-    lp, lm = lam
-    mp, mm = mu
-    np_, nm = nu
-    a1, a2 = len(lp), len(lm)
-    b1, b2 = len(mp), len(mm)
-    if a1 < 2 or b1 < 2:
+    of both small spaces carry (1, -1, 0, ...), with weight 1 pinned
+    first, and the minus parts are weight-free.  The plus big flag lives
+    on plus ⊗ plus ⊕ minus ⊗ minus, the minus one on the two mixed
+    products; factors of dimension 0 are dropped."""
+    (lp, lm), (mp, mm), (np_, nm) = lam, mu, nu
+    if len(lp) < 2 or len(mp) < 2:
         raise ScenarioError("plus parts need length >= 2")
-    m = a1 * b1 + a2 * b2
-    n = a1 * b2 + a2 * b1
+    u, v = ({1: 1, -1: 1, 0: len(p) - 2} for p in (lp, mp))
+    x, y = {0: len(lm)}, {0: len(mm)}
     factors = [
-        ScenarioFactor(lp, a1, _weights((1, 1), (-1, 1), (0, a1 - 2)), pinned=((1, 1),)),
-        ScenarioFactor(mp, b1, _weights((1, 1), (-1, 1), (0, b1 - 2)), pinned=((1, 1),)),
+        _small(lp, u, 1), _small(mp, v, 1), _small(lm, x), _small(mm, y),
+        _tensor(np_, [(u, v), (x, y)], last=(0,)), _tensor(nm, [(u, y), (x, v)]),
     ]
-    if a2:
-        factors.append(ScenarioFactor(lm, a2, _weights((0, a2))))
-    if b2:
-        factors.append(ScenarioFactor(mm, b2, _weights((0, b2))))
-    side = a1 + b1 - 4
-    factors.append(
-        ScenarioFactor(
-            np_,
-            m,
-            _weights((2, 1), (-2, 1), (1, side), (-1, side), (0, m - 2 - 2 * side)),
-            dual=True,
-            last_classes=(0,),
-        )
-    )
-    if n:
-        cross = a2 + b2
-        factors.append(
-            ScenarioFactor(
-                nm,
-                n,
-                _weights((1, cross), (-1, cross), (0, n - 2 * cross)),
-                dual=True,
-            )
-        )
-    return factors, 2
+    return [f for f in factors if f.dimension], 2

@@ -21,6 +21,7 @@ from .partitions import (
     add_scaled,
     check_partition,
     format_triple,
+    size_mismatch,
 )
 from .kronecker import kron
 
@@ -52,9 +53,13 @@ def sequence_term(
     direction: tuple[Partition, Partition, Partition],
     d: int,
 ) -> int:
-    """One term of the shifted sequence."""
+    """One term of the shifted sequence.  The direction's three sizes
+    must agree: otherwise no term beyond d = 0 is a valid triple."""
     lam, mu, nu = (check_partition(p) for p in base)
-    a, b, c = (check_partition(p) for p in direction)
+    a, b, c = direction = tuple(check_partition(p) for p in direction)
+    sizes = [sum(p) for p in direction]
+    if len(set(sizes)) > 1:
+        raise size_mismatch(sizes, f"direction {format_triple(direction)}")
     return kron(add_scaled(lam, d, a), add_scaled(mu, d, b), add_scaled(nu, d, c))
 
 

@@ -121,6 +121,15 @@ def test_dreal_custom_direction(capsys):
     assert code == 0 and "empirical" in out
 
 
+def test_dreal_custom_direction_size_mismatch(capsys):
+    code, out, err = run(capsys, "dreal", "murnaghan", "2,1/2,1/2,1", "--direction", "1/1/2")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: sizes 1, 1, 2 of direction 1 / 1 / 2 differ;"
+        " all three partitions must have the same size\n"
+    )
+
+
 def test_plethysm(capsys):
     code, out, _ = run(capsys, "plethysm", "2 / 2,1 / 4,2")
     assert code == 0 and out.strip() == "1"

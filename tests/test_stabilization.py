@@ -29,6 +29,15 @@ def test_sequence_term_examples():
         assert sequence_term(row1, ONE_BOX, d) == limit
 
 
+def test_direction_of_unequal_sizes_is_named():
+    # Every term beyond d = 0 would have unequal sizes; d = 0 alone must
+    # not hide that.
+    base = ((2, 1), (2, 1), (2, 1))
+    for d in (0, 1):
+        with pytest.raises(ValueError, match=r"^sizes 1, 1, 2 of direction 1 / 1 / 2 differ"):
+            sequence_term(base, ((1,), (1,), (2,)), d)
+
+
 def test_certified_index_on_cheap_rows():
     for idx, expected in CHEAP_1.items():
         triple = TABLE_1.rows[idx].triple
