@@ -14,12 +14,22 @@ one place that names the bound a family's certified index is read from.
 from itertools import permutations
 
 from .hyperoct import format_double_partition, total_size
-from .partitions import DoublePartition, Partition, check_partition, format_partition, part_at, size_mismatch
+from .partitions import (
+    DoublePartition, Partition, check_partition, format_partition, format_triple, part_at,
+    size_mismatch,
+)
 
 
 class DegenerateTripleError(ValueError):
     """The triple, in the order given, fails a formula's length
     preconditions."""
+
+
+def _check_two_rows(lam: Partition, mu: Partition, nu: Partition) -> None:
+    if len(lam) < 2 or len(mu) < 2:
+        raise DegenerateTripleError(
+            f"first two partitions of {format_triple((lam, mu, nu))} need length >= 2"
+        )
 
 
 def _ceil_half(x: int) -> int:
@@ -40,8 +50,7 @@ def _one_box_tail(nu: Partition, side: int, P: int) -> int:
 
 def _d1_fixed(lam: Partition, mu: Partition, nu: Partition) -> int:
     n1, n2 = len(lam), len(mu)
-    if n1 < 2 or n2 < 2:
-        raise DegenerateTripleError("first two partitions need length >= 2")
+    _check_two_rows(lam, mu, nu)
     expr = -lam[0] + lam[1] - mu[0] + mu[1] + _one_box_tail(nu, n1 + n2 - 4, n1 * n2)
     return max(0, _ceil_half(expr))
 
@@ -52,10 +61,11 @@ def bound_D1(
 ) -> int:
     """Bound for the murnaghan family from the one-box scenario.
 
-    With minimization, the least value over the orderings of the triple
-    whose first two members have length at least 2, and 0 when no
-    ordering qualifies: at most one partition then has two or more rows,
-    so the sequence is a constant Kronecker delta from d = 0.  The fixed
+    With minimization, the least value over which partition plays the
+    third role (the formula is symmetric in the other two), among the
+    choices whose other two have length at least 2, and 0 when none
+    qualifies: at most one partition then has two or more rows, so the
+    sequence is a constant Kronecker delta from d = 0.  The fixed
     ordering uses the arguments as given and raises
     ``DegenerateTripleError`` when they fail the length preconditions.
     """
@@ -63,7 +73,7 @@ def bound_D1(
     if not minimize_over_orderings:
         return _d1_fixed(lam, mu, nu)
     return min(
-        (_d1_fixed(a, b, c) for a, b, c in permutations((lam, mu, nu))
+        (_d1_fixed(a, b, c) for a, b, c in ((lam, mu, nu), (mu, nu, lam), (nu, lam, mu))
          if len(a) >= 2 and len(b) >= 2),
         default=0,
     )
@@ -74,8 +84,7 @@ def bound_D2(lam: Partition, mu: Partition, nu: Partition) -> int:
     lengths of the first two partitions (the formula is symmetric under
     swapping them, so a two-row second partition is swapped first)."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    if len(lam) < 2 or len(mu) < 2:
-        raise DegenerateTripleError("both partitions need length >= 2")
+    _check_two_rows(lam, mu, nu)
     if len(mu) == 2 < len(lam):
         lam, mu = mu, lam
     n1, n2 = len(lam), len(mu)
@@ -111,7 +120,7 @@ def bound_DB_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
     def fixed(a, b, c):
         n1, n2 = len(a), len(b)
         expr = -part_at(a, 1) + (sum(b) - part_at(b, 1)) + part_at(c, 2)
-        for k in range(n1 + n2, n1 * n2 + 1):
+        for k in range(max(n1 + n2, 1), n1 * n2 + 1):
             expr -= part_at(c, k)
         return max(0, expr)
 
@@ -136,8 +145,7 @@ def dbor2_improved_fixed(lam: Partition, mu: Partition, nu: Partition) -> int:
     bound, for the argument order as given (no clamping or role
     minimization); exposed for scenario cross-checks."""
     n1, n2 = len(lam), len(mu)
-    if n1 < 2 or n2 < 2:
-        raise DegenerateTripleError("first two partitions need length >= 2")
+    _check_two_rows(lam, mu, nu)
     P = n1 * n2
     expr = (
         -part_at(lam, 1) + part_at(lam, 2)
@@ -197,7 +205,8 @@ def bound_hyperoct(lam: DoublePartition, mu: DoublePartition, nu: DoublePartitio
     a1, a2 = len(lp), len(lm)
     b1, b2 = len(mp), len(mm)
     if a1 < 2 or b1 < 2:
-        raise DegenerateTripleError("plus parts need length >= 2")
+        triple = " / ".join(map(format_double_partition, ((lp, lm), (mp, mm), (np_, nm))))
+        raise DegenerateTripleError(f"first two plus parts of {triple} need length >= 2")
     m = a1 * b1 + a2 * b2
     n = a1 * b2 + a2 * b1
     expr = (

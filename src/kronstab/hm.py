@@ -1,25 +1,25 @@
 """Generic destabilization maximizer over flag-position weight scenarios.
 
-A scenario describes one product of flag varieties: for each factor, the
-multiset of torus weights on the ambient space, the partition whose
-parts act as objective coefficients along the flag positions, whether
-the factor enters dually (reversed objective, positive sign), and
-position constraints (pinned basis lines, and a restricted weight class
-for the last position when the factor sits under a projectivized dual
-with a fixed kernel).
+A scenario describes one product of flag varieties.  Each factor gives
+the objective coefficient at every flag position, the multiset of torus
+weights on the ambient space, the weights pinned at the first positions
+(basis lines the scenario fixes), and the weights allowed at the last
+position when the factor sits under a projectivized dual with a fixed
+kernel.
 
 The maximizer returns the largest achievable total objective over all
-admissible assignments of weights to positions.  Pinned positions take
-their weights first; the free positions are paired with the remaining
-weights by descending sort (rearrangement inequality), trying each
-admissible weight class for a restricted last position.
-``solve_assignment`` is a general exact assignment solver that no
-scenario needs.
+admissible assignments of weights to positions.  The pinned prefix takes
+its weights first; the free positions are paired with the remaining
+weights by sorting both (rearrangement inequality), trying each allowed
+weight for a restricted last position.  ``solve_assignment`` is a
+general exact assignment solver that no scenario needs; it stays because
+the benchmark's call tracer (``perfbench/calltrace.py``) lists it among
+its sites.
 """
 
 from dataclasses import dataclass
 
-from .partitions import Partition, part_at
+from .partitions import Partition
 
 
 class ScenarioError(ValueError):
@@ -28,31 +28,10 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioFactor:
-    objective: Partition
-    dimension: int
-    weights: tuple[tuple[int, int], ...]  # (weight, multiplicity)
-    dual: bool = False
-    pinned: tuple[tuple[int, int], ...] = ()  # (1-based position, weight)
-    last_classes: tuple[int, ...] | None = None
-
-    def coeff(self, p: int) -> int:
-        """Objective coefficient at 1-based position p."""
-        if self.dual:
-            return part_at(self.objective, self.dimension + 1 - p)
-        return -part_at(self.objective, p)
-
-
-def _weights_list(factor: ScenarioFactor) -> list[int]:
-    out: list[int] = []
-    for w, m in factor.weights:
-        if m < 0:
-            raise ScenarioError(f"negative multiplicity for weight {w}")
-        out.extend([w] * m)
-    if len(out) != factor.dimension:
-        raise ScenarioError(
-            f"weight multiplicities sum to {len(out)}, expected {factor.dimension}"
-        )
-    return out
+    coeffs: tuple[int, ...]  # objective coefficient at each flag position
+    weights: tuple[int, ...]  # torus weights, one per flag position
+    pinned: tuple[int, ...] = ()  # weights of the first positions
+    last: tuple[int, ...] | None = None  # weights allowed at the last position
 
 
 def solve_assignment(profit: list[list[int]]) -> int:
@@ -102,48 +81,37 @@ def solve_assignment(profit: list[list[int]]) -> int:
     return sum(profit[match[j] - 1][j - 1] for j in range(1, n + 1))
 
 
-def _greedy_pair(coeffs: list[int], weights: list[int]) -> int:
-    coeffs = sorted(coeffs, reverse=True)
-    weights = sorted(weights, reverse=True)
-    return sum(c * w for c, w in zip(coeffs, weights))
+def _pair(coeffs: tuple[int, ...], weights: list[int]) -> int:
+    """The largest sum of coefficient times weight over all pairings:
+    both sorted the same way."""
+    return sum(c * w for c, w in zip(sorted(coeffs), sorted(weights)))
 
 
 def _max_factor(factor: ScenarioFactor) -> int:
-    dim = factor.dimension
-    if dim < 1:
-        raise ScenarioError("factor dimension must be positive")
-    pool = _weights_list(factor)
-    total = 0
-    free_positions = set(range(1, dim + 1))
-    for pos, w in factor.pinned:
-        if pos not in free_positions:
-            raise ScenarioError(f"position {pos} pinned twice or out of range")
+    coeffs, pins, last = factor.coeffs, factor.pinned, factor.last
+    n, k = len(coeffs), len(pins)
+    if len(factor.weights) != n:
+        raise ScenarioError(f"{len(factor.weights)} weights for {n} flag positions")
+    pool = list(factor.weights)
+    for w in pins:
         if w not in pool:
             raise ScenarioError(f"pinned weight {w} not available")
-        last = factor.last_classes
-        if pos == dim and last is not None and w not in last:
-            raise ScenarioError(f"pinned weight {w} not allowed in the last position")
         pool.remove(w)
-        free_positions.remove(pos)
-        total += factor.coeff(pos) * w
-    if factor.last_classes is not None and dim in free_positions:
-        c_last = factor.coeff(dim)
-        rest_positions = [p for p in free_positions if p != dim]
-        best = None
-        for w in set(factor.last_classes):
-            if w not in pool:
-                continue
-            remaining = pool.copy()
-            remaining.remove(w)
-            cand = c_last * w + _greedy_pair(
-                [factor.coeff(p) for p in rest_positions], remaining
-            )
-            if best is None or cand > best:
-                best = cand
-        if best is None:
-            raise ScenarioError("no admissible weight for the last position")
-        return total + best
-    return total + _greedy_pair([factor.coeff(p) for p in free_positions], pool)
+    total = sum(c * w for c, w in zip(coeffs, pins))
+    if last is None:
+        return total + _pair(coeffs[k:], pool)
+    if k == n > 0:
+        if pins[-1] not in last:
+            raise ScenarioError(f"pinned weight {pins[-1]} not allowed in the last position")
+        return total
+    candidates = []
+    for w in set(last).intersection(pool):
+        rest = pool.copy()
+        rest.remove(w)
+        candidates.append(coeffs[-1] * w + _pair(coeffs[k:-1], rest))
+    if not candidates:
+        raise ScenarioError("no admissible weight for the last position")
+    return total + max(candidates)
 
 
 def hm_max_destabilization(factors: list[ScenarioFactor]) -> int:
@@ -165,16 +133,20 @@ def hm_bound(factors: list[ScenarioFactor], mu_lbar: int) -> int:
 # scenario builders
 #
 # A scenario puts torus weights on the small spaces; each tensor line
-# U_i ⊗ V_j carries the sum of its factors' weights.  The builders give
-# the small weights as {weight: multiplicity} dicts and sum over those
-# (at most three per space), never over the n1·n2 lines.
+# U_i ⊗ V_j carries the sum of its factors' weights.  A small flag's
+# coefficient at position p is -λ_p; the big flag enters dually, so its
+# coefficient at position p of dim is ν_{dim+1-p}.
 
 
-def _small(objective: Partition, weights: dict[int, int], *pins: int) -> ScenarioFactor:
-    """A small space's flag; ``pins[i]`` is the weight at position i + 1."""
+def _parts(objective: Partition, dim: int) -> tuple[int, ...]:
+    """The first dim parts, padded with zeros."""
+    return tuple(objective[:dim]) + (0,) * (dim - len(objective))
+
+
+def _small(objective: Partition, weights: list[int], *pins: int) -> ScenarioFactor:
+    """A small space's flag, with ``pins`` at its first positions."""
     return ScenarioFactor(
-        objective, sum(weights.values()), tuple(weights.items()),
-        pinned=tuple(enumerate(pins, 1)),
+        tuple(-p for p in _parts(objective, len(weights))), tuple(weights), pins
     )
 
 
@@ -183,18 +155,11 @@ def _tensor(objective: Partition, blocks: list, last: tuple[int, ...] | None = N
     """The dual big flag on the direct sum of the products U ⊗ V in
     ``blocks``, weighted by pairwise sums; ``moved=(old, new)`` relabels
     one line of weight old as new."""
-    sums: dict[int, int] = {}
-    for u, v in blocks:
-        for a, i in u.items():
-            for b, j in v.items():
-                sums[a + b] = sums.get(a + b, 0) + i * j
+    sums = [a + b for u, v in blocks for a in u for b in v]
     if moved:
-        old, new = moved
-        sums[old] -= 1
-        sums[new] = sums.get(new, 0) + 1
-    return ScenarioFactor(
-        objective, sum(sums.values()), tuple(sums.items()), dual=True, last_classes=last
-    )
+        sums.remove(moved[0])
+        sums.append(moved[1])
+    return ScenarioFactor(_parts(objective, len(sums))[::-1], tuple(sums), last=last)
 
 
 def tau0_murnaghan(
@@ -210,7 +175,7 @@ def tau0_murnaghan(
     n1, n2 = len(lam), len(mu)
     if n1 < 2 or n2 < 2:
         raise ScenarioError("both factor partitions need length >= 2")
-    u, v = {1: 1, -1: 1, 0: n1 - 2}, {1: 1, -1: 1, 0: n2 - 2}
+    u, v = [1, -1] + [0] * (n1 - 2), [1, -1] + [0] * (n2 - 2)
     return [_small(lam, u, 1), _small(mu, v, 1), _tensor(nu, [(u, v)], last=(0,))], 2
 
 
@@ -229,7 +194,7 @@ def tau_squares(
         raise ScenarioError("both factor partitions need length >= 2")
     if n2 == 2 < n1:
         return tau_squares(mu, lam, nu)
-    u, v = ({1: 1, -1: 1, 0: n - 2} if n >= 3 else {1: 1, 0: 1} for n in (n1, n2))
+    u, v = ([1, -1] + [0] * (n - 2) if n >= 3 else [1, 0] for n in (n1, n2))
     # With two rows each, D2 subtracts nu_4, so one line needs weight -1:
     # the paper's spectrum is {2, 1, 0, -1}, the pairwise sums {2, 1, 1, 0}.
     big = _tensor(nu, [(u, v)], last=(0,), moved=(1, -1) if n2 == 2 else None)
@@ -245,7 +210,7 @@ def tau_B(
     n1, n2 = len(lam), len(mu)
     if n1 < 1 or n2 < 2:
         raise ScenarioError("factor partitions too short for this scenario")
-    u, v = {1: 1, 0: n1 - 1}, {0: 1, -1: n2 - 1}
+    u, v = [1] + [0] * (n1 - 1), [0] + [-1] * (n2 - 1)
     last = (0, -1) if min(n1, n2) >= 3 else (0,)
     return [_small(lam, u, 1), _small(mu, v, 0), _tensor(nu, [(u, v)], last=last)], 1
 
@@ -260,7 +225,7 @@ def tau_BOR2(
     n1, n2 = len(lam), len(mu)
     if n1 < 3 or n2 < 3:
         raise ScenarioError("both factor partitions need length >= 3")
-    u, v = {1: 1, -1: 1, 0: n1 - 2}, {0: 1, -2: 1, -1: n2 - 2}
+    u, v = [1, -1] + [0] * (n1 - 2), [0, -2] + [-1] * (n2 - 2)
     # The converted bound subtracts 2*nu_q on n1 + n2 - 3 positions, one
     # more than the pairwise sums give weight -2, so one -1 moves to -2.
     big = _tensor(nu, [(u, v)], last=(-1,), moved=(-1, -2))
@@ -276,14 +241,13 @@ def tau0_hyperoct(
     of both small spaces carry (1, -1, 0, ...), with weight 1 pinned
     first, and the minus parts are weight-free.  The plus big flag lives
     on plus ⊗ plus ⊕ minus ⊗ minus, the minus one on the two mixed
-    products; factors of dimension 0 are dropped."""
+    products."""
     (lp, lm), (mp, mm), (np_, nm) = lam, mu, nu
     if len(lp) < 2 or len(mp) < 2:
         raise ScenarioError("plus parts need length >= 2")
-    u, v = ({1: 1, -1: 1, 0: len(p) - 2} for p in (lp, mp))
-    x, y = {0: len(lm)}, {0: len(mm)}
-    factors = [
+    u, v = ([1, -1] + [0] * (len(p) - 2) for p in (lp, mp))
+    x, y = [0] * len(lm), [0] * len(mm)
+    return [
         _small(lp, u, 1), _small(mp, v, 1), _small(lm, x), _small(mm, y),
         _tensor(np_, [(u, v), (x, y)], last=(0,)), _tensor(nm, [(u, y), (x, v)]),
-    ]
-    return [f for f in factors if f.dimension], 2
+    ], 2

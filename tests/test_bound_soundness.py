@@ -26,7 +26,7 @@ MAX_SIZE = {"murnaghan": 8, "squares": 7, "hyperoct": 5}
 
 
 def _triples(family):
-    for n in range(1, MAX_SIZE[family] + 1):
+    for n in range(MAX_SIZE[family] + 1):
         if family == "hyperoct":
             shapes = [(p, m) for k in range(n + 1)
                       for p in partitions_of(k) for m in partitions_of(n - k)]

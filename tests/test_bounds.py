@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -118,6 +119,19 @@ def test_reordering_only_helps():
         lam, mu, nu = row.triple
         fixed = bound_D1(lam, mu, nu, minimize_over_orderings=False)
         assert bound_D1(lam, mu, nu) <= fixed
+
+
+def test_one_box_bound_minimizes_over_all_orderings():
+    # The fixed form is symmetric in its first two partitions, so three
+    # role choices reach every value the six orderings do.
+    for n in range(7):
+        for triple in itertools.product(partitions_of(n), repeat=3):
+            fixed = [
+                bound_D1(a, b, c, minimize_over_orderings=False)
+                for a, b, c in itertools.permutations(triple)
+                if len(a) >= 2 and len(b) >= 2
+            ]
+            assert bound_D1(*triple) == min(fixed, default=0)
 
 
 def test_hyperoct_bound_reduces_to_one_box_bound():

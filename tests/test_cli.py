@@ -61,7 +61,18 @@ def test_bound_degenerate_triple(capsys):
     names = ["D1", "DB", "DB_improved", "DBOR2", "DBOR2_improved", "Dm"]
     assert out.splitlines() == [f"{name} = 0" for name in names]
     code, _, err = run(capsys, "bound", "squares", "3 / 2,1 / 2,1")
-    assert code == 1 and err.startswith("error:")
+    assert code == 1 and err.startswith("error:") and "3 / 2,1 / 2,1" in err
+    code, _, err = run(capsys, "bound", "hyperoct", "3;1 / 2,1;1 / 2,1,1;-")
+    assert code == 1 and err.startswith("error:") and "3;1 / 2,1;1 / 2,1,1;-" in err
+
+
+def test_empty_triple(capsys):
+    code, out, _ = run(capsys, "bound", "murnaghan", "- / - / -", "--all")
+    assert code == 0
+    assert [line.split(" = ")[1] for line in out.splitlines()] == ["0"] * 6
+    code, out, _ = run(capsys, "dreal", "murnaghan", "- / - / -")
+    assert code == 0
+    assert out.splitlines()[:2] == ["d_real = 0", "limit = 1"]
 
 
 def test_bound_squares(capsys):

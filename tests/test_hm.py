@@ -1,8 +1,7 @@
 import itertools
-from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronstab.bounds import (
@@ -50,45 +49,36 @@ def test_assignment_solver_against_brute_force(profit):
 
 
 def test_pinned_factor_with_restricted_last_position():
-    # Dual coefficients by position are 1e10, 2e10, 3e10.  Weight 1 is
-    # pinned at position 1 and the last position must take weight 0, so the
-    # only admissible assignment is (1, -1, 0): 1e10 - 2e10 + 0.
-    objective = (3 * 10**10, 2 * 10**10, 10**10)
-    f = ScenarioFactor(objective, 3, ((1, 1), (-1, 1), (0, 1)), dual=True,
-                       pinned=((1, 1),), last_classes=(0,))
+    # Weight 1 is pinned at position 1 and the last position must take
+    # weight 0, so the only admissible assignment is (1, -1, 0):
+    # 1e10 - 2e10 + 0.
+    f = ScenarioFactor((10**10, 2 * 10**10, 3 * 10**10), (1, -1, 0), pinned=(1,), last=(0,))
     assert hm_max_destabilization([f]) == -(10**10)
 
 
 @st.composite
 def constrained_factors(draw):
-    """Small factors with pinned positions and an optional restriction on
-    the last position's weight."""
+    """Small factors with any integer coefficients, a pinned prefix of
+    any length up to the whole flag, and an optional restriction on the
+    last position's weight."""
     dim = draw(st.integers(1, 5))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim))
     pool = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
-    objective = tuple(sorted(
-        draw(st.lists(st.integers(1, 9), min_size=1, max_size=dim)), reverse=True
-    ))
-    order = draw(st.permutations(pool))
-    positions = draw(st.lists(st.integers(1, dim), unique=True))
+    pins = draw(st.permutations(pool))[: draw(st.integers(0, dim))]
     last = draw(st.none() | st.lists(st.integers(-2, 2), min_size=1, max_size=3))
     return ScenarioFactor(
-        objective,
-        dim,
-        tuple(sorted(Counter(pool).items())),
-        dual=draw(st.booleans()),
-        pinned=tuple(zip(positions, order)),
-        last_classes=None if last is None else tuple(last),
+        tuple(coeffs), tuple(pool), tuple(pins), None if last is None else tuple(last)
     )
 
 
+@settings(max_examples=3000)
 @given(constrained_factors())
 def test_factor_maximum_against_brute_force(f):
-    pool = [w for w, m in f.weights for _ in range(m)]
     admissible = [
-        sum(f.coeff(p) * w for p, w in enumerate(perm, 1))
-        for perm in set(itertools.permutations(pool))
-        if all(perm[p - 1] == w for p, w in f.pinned)
-        and (f.last_classes is None or perm[-1] in f.last_classes)
+        sum(c * w for c, w in zip(f.coeffs, perm))
+        for perm in set(itertools.permutations(f.weights))
+        if perm[: len(f.pinned)] == f.pinned
+        and (f.last is None or perm[-1] in f.last)
     ]
     if admissible:
         assert hm_max_destabilization([f]) == max(admissible)
@@ -98,13 +88,13 @@ def test_factor_maximum_against_brute_force(f):
 
 
 def test_factor_weight_multiplicities_checked():
-    f = ScenarioFactor((2, 1), 3, ((1, 1), (0, 1)))
+    f = ScenarioFactor((-2, -1, 0), (1, 0))
     with pytest.raises(ScenarioError):
         hm_bound([f], 1)
 
 
 def test_pinned_weight_must_exist():
-    f = ScenarioFactor((2, 1), 2, ((1, 1), (0, 1)), pinned=((1, 5),))
+    f = ScenarioFactor((-2, -1), (1, 0), pinned=(5,))
     with pytest.raises(ScenarioError):
         hm_bound([f], 1)
 
