@@ -3,12 +3,8 @@
 from math import factorial
 
 # ConsistencyError and character are re-exported for existing importers.
-from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, class_sizes, format_triple, size_mismatch
-from .characters import beta_mask, character, class_id, mn
-
-# Above the north star's n = 48, where a cold call takes seconds and
-# hundreds of MB; memory grows about 3.5x for every 8 added to n.
-KRON_SIZE_CAP = 50
+from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, format_triple, size_mismatch
+from .characters import KRON_SIZE_CAP, character, column, size_column
 
 
 def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
@@ -16,9 +12,9 @@ def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     product of the irreducibles of shapes ``alpha`` and ``beta``.
 
     Evaluated as the class-weighted sum of triple character products,
-    entirely in integer arithmetic: each class of cycle type rho has
-    ``n!/z(rho)`` elements, and the accumulated total must come out
-    divisible by ``n!``.
+    entirely in integer arithmetic: the three full character columns
+    are zipped with the column of class sizes ``n!/z(rho)``, and the
+    total must come out divisible by ``n!``.
     """
     alpha = check_partition(alpha)
     beta = check_partition(beta)
@@ -31,20 +27,11 @@ def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
             f"size {n} of {format_triple((alpha, beta, gamma))}"
             f" exceeds the desk-scale limit of {KRON_SIZE_CAP}"
         )
-    # Evaluate the cheapest shape first inside each class so a zero
-    # character value skips the other two evaluations.
-    masks = [beta_mask(shape) for shape in sorted((alpha, beta, gamma), key=len)]
-    total = 0
-    for rho, size in class_sizes(n):
-        pid = class_id(rho)
-        prod = size
-        for mask in masks:
-            c = mn(mask, pid, n)
-            if not c:
-                break
-            prod *= c
-        else:
-            total += prod
+    total = sum(
+        size * a * b * c
+        for size, a, b, c in zip(size_column(n), column(alpha), column(beta), column(gamma))
+        if a and b and c
+    )
     nfact = factorial(n)
     g, rem = divmod(total, nfact)
     if rem:

@@ -164,15 +164,6 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
 
 
 @cache
-def class_sizes(n: int) -> tuple[tuple[Partition, int], ...]:
-    """Each cycle type ``rho`` of the symmetric group on ``n`` points with
-    the size ``n!/z(rho)`` of its conjugacy class, in the order of
-    ``partitions_of(n)``."""
-    nfact = factorial(n)
-    return tuple((rho, nfact // z_order(rho)) for rho in partitions_of(n))
-
-
-@cache
 def dim_sn(lam: Partition) -> int:
     """Dimension of the symmetric group irreducible of shape ``lam``
     (the number of standard tableaux), by the hook length formula."""

@@ -10,9 +10,11 @@ denominator, so the only division is the final exactness check.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
+from operator import mul
 
-from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, class_sizes, format_triple, partitions_of
-from .characters import character
+from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, format_triple, partitions_of
+# ``character`` stays a name here: perfbench traces ``plethysm.character``.
+from .characters import character, column, rank, size_column
 
 DEGREE_CAP = 24
 
@@ -48,8 +50,22 @@ def schur_to_powersum(lam: Partition) -> SymFunc:
     size times the character value over ``n!``."""
     lam = check_partition(lam)
     n = sum(lam)
-    d = {rho: character(lam, rho) * size for rho, size in class_sizes(n)}
+    classes = reversed(partitions_of(n))
+    d = dict(zip(classes, map(mul, column(lam), size_column(n))))
     return _make("powersum", d, factorial(n))
+
+
+def _schur_numerators(f: SymFunc, shapes) -> list[int]:
+    """For each shape ``nu`` of the degree of ``f``, the sum of ``c_rho
+    * character(nu, rho)`` over the terms of ``f``: its Hall inner
+    product with the Schur function at ``nu``, times ``f.denom``."""
+    terms = [(rank(rho), c) for rho, c in f.coeffs]
+    top = max((rho[0] for rho, _ in f.coeffs if rho), default=0)
+    out = []
+    for nu in shapes:
+        col = column(nu, top)
+        out.append(sum(c * col[r] for r, c in terms))
+    return out
 
 
 def powersum_to_schur(f: SymFunc) -> SymFunc:
@@ -58,11 +74,8 @@ def powersum_to_schur(f: SymFunc) -> SymFunc:
     rho)`` over the terms of ``f``."""
     if f.basis != "powersum":
         raise ValueError("expected a power-sum element")
-    d = {
-        nu: sum(c * character(nu, rho) for rho, c in f.coeffs)
-        for nu in partitions_of(f.degree())
-    }
-    return _make("schur", d, f.denom)
+    shapes = partitions_of(f.degree())
+    return _make("schur", dict(zip(shapes, _schur_numerators(f, shapes))), f.denom)
 
 
 def plethysm_powersum(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -112,7 +125,7 @@ def plethysm_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
             f" desk-scale limit of {DEGREE_CAP}"
         )
     comp = plethysm_powersum(schur_to_powersum(lam), schur_to_powersum(mu))
-    total = sum(c * character(nu, rho) for rho, c in comp.coeffs)
+    [total] = _schur_numerators(comp, [nu])
     coeff, rem = divmod(total, comp.denom)
     if rem or coeff < 0:
         raise ConsistencyError(

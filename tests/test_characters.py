@@ -2,8 +2,19 @@ import math
 
 import pytest
 
-from kronstab.characters import _first, _ids, _memo, _rest, beta_mask, character, clear_character_cache
-from kronstab.partitions import PartitionError, class_sizes, conjugate, dim_sn, partitions_of
+from kronstab.characters import (
+    KRON_SIZE_CAP,
+    _memo,
+    beta_mask,
+    character,
+    clear_character_cache,
+    column,
+    count,
+    rank,
+    size_column,
+)
+from kronstab.kronecker import kron
+from kronstab.partitions import PartitionError, SizeCapError, add_scaled, conjugate, dim_sn, partitions_of, z_order
 
 from oracles import character_oracle
 
@@ -33,18 +44,32 @@ def test_value_at_identity_is_dimension():
 
 def test_row_orthogonality():
     for n in range(2, 13):
-        classes = class_sizes(n)
+        sizes = size_column(n)
         nfact = math.factorial(n)
-        assert sum(size for _, size in classes) == nfact
+        assert sum(sizes) == nfact
         ps = partitions_of(n)
-        values = {lam: [character(lam, rho) for rho, _ in classes] for lam in ps}
+        classes = list(reversed(ps))
+        values = {lam: [character(lam, rho) for rho in classes] for lam in ps}
         for lam in ps:
             for mu in ps:
-                total = sum(
-                    size * a * b
-                    for (_, size), a, b in zip(classes, values[lam], values[mu])
-                )
+                total = sum(size * a * b for size, a, b in zip(sizes, values[lam], values[mu]))
                 assert total == (nfact if lam == mu else 0), (lam, mu)
+
+
+def test_diagonal_orthogonality():
+    # Both diagonal relations on the full character table, O(p(n)^2):
+    # the sum over shapes of chi(rho)^2 is z(rho), and the class-weighted
+    # sum over classes of chi^2 is n!.
+    for n in range(1, 21):
+        ps = partitions_of(n)
+        sizes = size_column(n)
+        cols = [column(lam) for lam in ps]
+        for rho in reversed(ps):
+            r = rank(rho)
+            assert sum(col[r] ** 2 for col in cols) == z_order(rho), rho
+        for lam, col in zip(ps, cols):
+            assert sum(size * v * v for size, v in zip(sizes, col)) == math.factorial(n), lam
+        clear_character_cache(n)
 
 
 def test_sign_twist():
@@ -73,35 +98,63 @@ def test_cache_eviction_preserves_values():
 
 def test_memo_keys_are_canonical():
     # Strips ending on bit 0 leave zero parts; each shape must still have
-    # exactly one mask, so equal subproblems share one memo entry.
+    # exactly one mask, so equal subproblems share one column.  Every
+    # column is a whole number of blocks: a prefix of class order.
     clear_character_cache()
     for lam in partitions_of(8):
         for rho in partitions_of(8):
             character(lam, rho)
+    kron((4, 3, 2), (3, 3, 3), (5, 2, 1, 1))
     for degree, table in _memo.items():
         masks = {beta_mask(lam) for lam in partitions_of(degree)}
-        for key in table:
-            # A key is the class id above the degree + 1 bits of the mask.
-            assert key & ((1 << degree + 1) - 1) in masks, (degree, key)
-            pid, parts = key >> degree + 1, []
-            while pid:
-                parts.append(_first[pid])
-                pid = _rest[pid]
-            assert sum(parts) == degree, (degree, key, parts)
+        lengths = {count(degree, k) for k in range(degree + 1)}
+        for mask, col in table.items():
+            assert mask in masks, (degree, mask)
+            assert len(col) in lengths, (degree, mask, len(col))
 
 
-def test_clear_resets_class_registry():
+def test_clear_one_degree_keeps_the_other_columns():
     values = {rho: character((3, 2, 1), rho) for rho in partitions_of(6)}
     clear_character_cache()
-    assert _ids == {(): 0} and _first == [0] and _rest == [0]
+    assert not _memo
     assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
     character((2, 2), (2, 1, 1))
-    kept = {degree: dict(table) for degree, table in _memo.items() if degree != 4}
-    registered = dict(_ids)
+    kept = {degree: {m: list(c) for m, c in table.items()} for degree, table in _memo.items() if degree != 4}
     clear_character_cache(4)
-    assert 4 not in _memo and _ids == registered
+    assert 4 not in _memo
     assert {degree: _memo[degree] for degree in kept} == kept
     assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
+
+
+def test_rank_is_the_position_in_class_order():
+    for n in range(21):
+        classes = list(reversed(partitions_of(n)))
+        assert [rank(rho) for rho in classes] == list(range(len(classes)))
+        assert [count(n, k) for k in range(n + 1)] == [
+            sum(1 for rho in classes if not rho or rho[0] <= k) for k in range(n + 1)
+        ]
+
+
+def test_size_column_is_n_factorial_over_z():
+    for n in range(26):
+        nfact = math.factorial(n)
+        assert size_column(n) == tuple(nfact // z_order(rho) for rho in reversed(partitions_of(n))), n
+
+
+def test_full_column_matches_character():
+    for n in range(13):
+        classes = list(reversed(partitions_of(n)))
+        for lam in partitions_of(n):
+            assert column(lam) == [character(lam, rho) for rho in classes], lam
+
+
+def test_cold_kron_at_size_48():
+    # Table 3.6.1 row 3 grown by 30 along (1), (1), (1); the per-class
+    # engine this one replaced gives 318 too.
+    clear_character_cache()
+    row = ((5, 5, 4, 4), (6, 6, 6), (3, 3, 2, 2, 2, 2, 1, 1, 1, 1))
+    assert kron(*(add_scaled(lam, 30, (1,)) for lam in row)) == 318
+    clear_character_cache()
 
 
 def test_cycle_type_in_any_order():
@@ -120,3 +173,16 @@ def test_invalid_input_rejected(lam, rho):
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
         character((2, 1), (2,))
+
+
+def test_size_cap():
+    assert KRON_SIZE_CAP == 50
+    with pytest.raises(SizeCapError) as err:
+        character((26, 25), (51,))
+    assert str(err.value) == (
+        "size 51 of shape 26,25 and cycle type 51 exceeds the desk-scale limit of 50"
+    )
+    # Huge parts are rejected before any bitmask is built.
+    with pytest.raises(SizeCapError):
+        character((10**18,), (10**18,))
+    assert character((25, 25), (1,) * 50) == dim_sn((25, 25))

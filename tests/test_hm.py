@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -56,35 +57,34 @@ def test_pinned_factor_with_restricted_last_position():
     assert hm_max_destabilization([f]) == -(10**10)
 
 
-@st.composite
-def constrained_factors(draw):
-    """Small factors with any integer coefficients, a pinned prefix of
-    any length up to the whole flag, and an optional restriction on the
-    last position's weight."""
-    dim = draw(st.integers(1, 5))
-    coeffs = draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim))
-    pool = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
-    pins = draw(st.permutations(pool))[: draw(st.integers(0, dim))]
-    last = draw(st.none() | st.lists(st.integers(-2, 2), min_size=1, max_size=3))
-    return ScenarioFactor(
-        tuple(coeffs), tuple(pool), tuple(pins), None if last is None else tuple(last)
-    )
-
-
-@settings(max_examples=3000)
-@given(constrained_factors())
-def test_factor_maximum_against_brute_force(f):
-    admissible = [
-        sum(c * w for c, w in zip(f.coeffs, perm))
-        for perm in set(itertools.permutations(f.weights))
-        if perm[: len(f.pinned)] == f.pinned
-        and (f.last is None or perm[-1] in f.last)
-    ]
-    if admissible:
-        assert hm_max_destabilization([f]) == max(admissible)
-    else:
-        with pytest.raises(ScenarioError):
-            hm_max_destabilization([f])
+def test_factor_maximum_against_brute_force():
+    # Every weight multiset of dimension 1-5 over -2..2, two coefficient
+    # vectors each (a fixed seed; both signs, with ties), a pinned prefix
+    # of every length plus an unavailable pin, and ``last`` None, every
+    # singleton and every pair: about 50 000 factors.
+    rng = random.Random(20)
+    lasts = [None] + [(w,) for w in range(-2, 3)] + list(itertools.combinations(range(-2, 3), 2))
+    for dim in range(1, 6):
+        for weights in itertools.combinations_with_replacement(range(-2, 3), dim):
+            perms = set(itertools.permutations(weights))
+            for span in (9, 2):
+                coeffs = tuple(rng.randint(-span, span) for _ in range(dim))
+                value = {perm: sum(c * w for c, w in zip(coeffs, perm)) for perm in perms}
+                prefixes = [tuple(rng.sample(weights, k)) for k in range(dim + 1)] + [(3,)]
+                for pins in prefixes:
+                    # best admissible value for each weight at the last position
+                    best = {}
+                    for perm, v in value.items():
+                        if perm[: len(pins)] == pins:
+                            best[perm[-1]] = max(v, best.get(perm[-1], v))
+                    for last in lasts:
+                        f = ScenarioFactor(coeffs, weights, pins, last)
+                        admissible = [v for w, v in best.items() if last is None or w in last]
+                        if admissible:
+                            assert hm_max_destabilization([f]) == max(admissible), f
+                        else:
+                            with pytest.raises(ScenarioError):
+                                hm_max_destabilization([f])
 
 
 def test_factor_weight_multiplicities_checked():
