@@ -21,7 +21,7 @@ from .lr import lr, schur_product_expand
 from .plethysm import plethysm_coeff
 from .hyperoct import dim_wreath, hyperoct_coeff, parse_double_partition
 from .bounds import (
-    CERTIFIED,
+    FAMILIES,
     DegenerateTripleError,
     bound_D1,
     bound_D2,
@@ -34,7 +34,6 @@ from .bounds import (
     bound_values,
 )
 from .stabilization import (
-    DIRECTIONS,
     CertificateViolationError,
     StabilizationResult,
     d_real,

@@ -1,22 +1,18 @@
-"""Closed-form stabilization bounds for Kronecker coefficient sequences.
+"""Closed-form stabilization bounds for shifted coefficient sequences.
 
 All bounds certify an index from which the shifted coefficient sequence
-is constant.  Two growth directions are covered: one box added to every
-first row ("murnaghan" family, direction ((1),(1),(1))) and the
-direction ((1,1),(1,1),(2)) ("squares" family).  Formula values are
+is constant.  ``FAMILIES`` is the one place that records a family of
+sequences: the direction they grow along, its bounds in display order
+and the bound its certified index is read from.  Formula values are
 clamped at 0 since sequences are indexed by natural numbers.  Parts
 beyond a partition's length read as 0 throughout.
-
-``bound_values`` lists every bound of a family, and ``CERTIFIED`` is the
-one place that names the bound a family's certified index is read from.
 """
 
 from itertools import permutations
+from typing import NamedTuple
 
-from .hyperoct import format_double_partition, total_size
 from .partitions import (
-    DoublePartition, Partition, check_partition, format_partition, format_triple, part_at,
-    size_mismatch,
+    DoublePartition, Partition, check_partition, check_triple, format_triple, is_double, part_at,
 )
 
 
@@ -205,7 +201,7 @@ def bound_hyperoct(lam: DoublePartition, mu: DoublePartition, nu: DoublePartitio
     a1, a2 = len(lp), len(lm)
     b1, b2 = len(mp), len(mm)
     if a1 < 2 or b1 < 2:
-        triple = " / ".join(map(format_double_partition, ((lp, lm), (mp, mm), (np_, nm))))
+        triple = format_triple(((lp, lm), (mp, mm), (np_, nm)))
         raise DegenerateTripleError(f"first two plus parts of {triple} need length >= 2")
     m = a1 * b1 + a2 * b2
     n = a1 * b2 + a2 * b1
@@ -218,37 +214,31 @@ def bound_hyperoct(lam: DoublePartition, mu: DoublePartition, nu: DoublePartitio
     return max(0, _ceil_half(expr))
 
 
-# The bound each family's certified stabilization index is read from.
-CERTIFIED = {"murnaghan": "Dm", "squares": "D2"}
+class Family(NamedTuple):
+    """A family of shifted sequences: the direction added at each step, the
+    function of this module behind each bound name, in display order and
+    looked up at call time, and the bound the certified index is read from."""
+
+    direction: tuple
+    bounds: dict[str, str]
+    certified: str
+
+
+FAMILIES = {
+    "murnaghan": Family(((1,), (1,), (1,)), {name: f"bound_{name}" for name in (
+        "D1", "DB", "DB_improved", "DBOR2", "DBOR2_improved", "Dm")}, "Dm"),
+    "squares": Family(((1, 1), (1, 1), (2,)), {"D2": "bound_D2"}, "D2"),
+    # One box on every plus part's first row; an empty plus part grows as (d).
+    "hyperoct": Family((((1,), ()),) * 3, {"D_hyperoct": "bound_hyperoct"}, "D_hyperoct"),
+}
 
 
 def bound_values(family: str, lam, mu, nu) -> dict[str, int]:
-    """Every bound of a family for one triple, in display order.
-
-    The triple holds partitions, or double partitions for "hyperoct"; its
-    sizes, total sizes for double partitions, must agree.
-    """
-    if family == "hyperoct":
-        triple = [(check_partition(p), check_partition(m)) for p, m in (lam, mu, nu)]
-        size, fmt = total_size, format_double_partition
-    else:
-        triple = [check_partition(p) for p in (lam, mu, nu)]
-        size, fmt = sum, format_partition
-    sizes = [size(p) for p in triple]
-    if len(set(sizes)) > 1:
-        raise size_mismatch(sizes, " / ".join(map(fmt, triple)))
-    lam, mu, nu = triple
-    if family == "murnaghan":
-        return {
-            "D1": bound_D1(lam, mu, nu),
-            "DB": bound_DB(lam, mu, nu),
-            "DB_improved": bound_DB_improved(lam, mu, nu),
-            "DBOR2": bound_DBOR2(lam, mu, nu),
-            "DBOR2_improved": bound_DBOR2_improved(lam, mu, nu),
-            "Dm": bound_Dm(lam, mu, nu),
-        }
-    if family == "squares":
-        return {"D2": bound_D2(lam, mu, nu)}
-    if family == "hyperoct":
-        return {"D_hyperoct": bound_hyperoct(lam, mu, nu)}
-    raise ValueError(f"unknown bound family {family!r}")
+    """Every bound of a family for one triple, in display order.  The
+    triple holds partitions, or double partitions where the family's
+    direction does, and its sizes (total sizes) must agree."""
+    record = FAMILIES.get(family)
+    if record is None:
+        raise ValueError(f"unknown bound family {family!r}")
+    triple = check_triple((lam, mu, nu), is_double(record.direction))
+    return {name: globals()[fn](*triple) for name, fn in record.bounds.items()}

@@ -87,6 +87,8 @@ def _column(mask: int, n: int, k: int) -> list[int]:
     col = table.get(mask)
     if col is None:
         col = table[mask] = [1] if n == 0 else []
+    elif len(col) >= count(n, k):
+        return col
     for part in _blocks(len(col), n, k):
         size = count(n - part, part)
         block = None

@@ -11,13 +11,12 @@ import io
 import json
 import sys
 
-from .partitions import PartitionError, parse_partition
+from .partitions import PartitionError, is_double, parse_partition
 from .kronecker import kron
 from .plethysm import plethysm_coeff
-from .hyperoct import SIZE_CAP, hyperoct_coeff, parse_double_partition
-from .bounds import CERTIFIED, bound_values
+from .hyperoct import hyperoct_coeff, parse_double_partition
+from .bounds import FAMILIES, bound_values
 from .stabilization import (
-    DIRECTIONS,
     CertificateViolationError,
     d_real,
     empirical_scan,
@@ -42,7 +41,7 @@ def cmd_kron(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    triple = _parse_triple(args.triple, double=args.family == "hyperoct")
+    triple = _parse_triple(args.triple, double=is_double(FAMILIES[args.family].direction))
     values = list(bound_values(args.family, *triple).items())
     for name, value in values if args.all else values[:1]:
         print(f"{name} = {value}")
@@ -50,14 +49,15 @@ def cmd_bound(args) -> int:
 
 
 def cmd_dreal(args) -> int:
-    base = _parse_triple(args.triple)
+    family = FAMILIES[args.family]
+    base = _parse_triple(args.triple, double=is_double(family.direction))
     if args.direction is not None:
-        direction = _parse_triple(args.direction)
-        res = empirical_scan(base, direction, args.horizon)
+        if is_double(family.direction):
+            raise ValueError(f"--direction is for Kronecker sequences only, not {args.family}")
+        res = empirical_scan(base, _parse_triple(args.direction), args.horizon)
     else:
-        cert = CERTIFIED[args.family]
-        bound = bound_values(args.family, *base)[cert]
-        res = d_real(base, DIRECTIONS[args.family], bound, certificate=cert)
+        bound = bound_values(args.family, *base)[family.certified]
+        res = d_real(base, family.direction, bound, certificate=family.certified)
     print(f"d_real = {res.d_real}")
     print(f"limit = {res.limit}")
     print(f"sequence = {list(res.sequence)}")
@@ -73,7 +73,7 @@ def cmd_plethysm(args) -> int:
 
 def cmd_hyperoct(args) -> int:
     alpha, beta, gamma = _parse_triple(args.triple, double=True)
-    print(hyperoct_coeff(alpha, beta, gamma, size_cap=args.size_cap))
+    print(hyperoct_coeff(alpha, beta, gamma))
     return 0
 
 
@@ -160,17 +160,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_kron)
 
     sp = sub.add_parser("bound", help="stabilization bounds for a triple")
-    sp.add_argument("family", choices=["murnaghan", "squares", "hyperoct"])
+    sp.add_argument("family", choices=list(FAMILIES))
     sp.add_argument("triple")
     sp.add_argument("--all", action="store_true",
                     help="print every bound of the family, not only the first")
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("dreal", help="certified true stabilization index")
-    sp.add_argument("family", choices=["murnaghan", "squares"])
+    sp.add_argument("family", choices=list(FAMILIES))
     sp.add_argument("triple")
     sp.add_argument("--direction", default=None,
-                    help="custom growth direction (uncertified scan)")
+                    help="custom growth direction of partitions (uncertified scan)")
     sp.add_argument("--horizon", type=int, default=10,
                     help="scan horizon for a custom direction")
     sp.set_defaults(func=cmd_dreal)
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hyperoct", help="hyperoctahedral tensor coefficient")
     sp.add_argument("triple", help='e.g. "2;2 / 2;2 / 2;2"')
-    sp.add_argument("--size-cap", type=int, default=SIZE_CAP)
     sp.set_defaults(func=cmd_hyperoct)
 
     sp = sub.add_parser("table", help="recompute an embedded comparison table")

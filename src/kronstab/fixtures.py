@@ -13,8 +13,8 @@ implemented here, and the discrepancy is reported rather than hidden.
 from dataclasses import dataclass
 
 from .partitions import Partition, format_triple
-from .bounds import CERTIFIED, bound_values
-from .stabilization import DIRECTIONS, d_real
+from .bounds import FAMILIES, bound_values
+from .stabilization import d_real
 
 Triple = tuple[Partition, Partition, Partition]
 
@@ -29,7 +29,7 @@ class FixtureRow:
 @dataclass(frozen=True)
 class TableFixture:
     table_id: str
-    family: str  # stabilization direction key
+    family: str  # key of ``bounds.FAMILIES``
     columns: tuple[str, ...]
     rows: tuple[FixtureRow, ...]
     fixture_columns: frozenset[str] = frozenset()
@@ -92,9 +92,10 @@ def evaluate_row(table: TableFixture, row: FixtureRow) -> dict:
     fixture columns), the provenance and a status of "match",
     "mismatch-known" or "mismatch".
     """
+    family = FAMILIES[table.family]
     computed = bound_values(table.family, *row.triple)
-    cert = CERTIFIED[table.family]
-    res = d_real(row.triple, DIRECTIONS[table.family], computed[cert], certificate=cert)
+    res = d_real(row.triple, family.direction, computed[family.certified],
+                 certificate=family.certified)
     computed["Dreal"] = res.d_real
     cells = {}
     for name, expected in zip(table.columns, row.expected):

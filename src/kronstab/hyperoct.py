@@ -13,7 +13,8 @@ from functools import reduce
 from itertools import product
 from math import comb
 
-from .partitions import DoublePartition, Partition, PartitionError, SizeCapError, check_partition, contains, dim_sn, format_partition, parse_partition, partitions_of
+# format_double_partition stays importable here, beside parse_double_partition.
+from .partitions import DoublePartition, Partition, PartitionError, SizeCapError, check_partition, contains, dim_sn, format_double_partition, format_triple, parse_partition, partitions_of, total_size
 from .kronecker import kron
 from .lr import lr
 
@@ -32,14 +33,6 @@ def parse_double_partition(text: str) -> DoublePartition:
         raise PartitionError(f"double partition needs a ';' separator, got {text!r}")
     plus, _, minus = text.partition(";")
     return parse_partition(plus), parse_partition(minus)
-
-
-def format_double_partition(alpha: DoublePartition) -> str:
-    return f"{format_partition(alpha[0])};{format_partition(alpha[1])}"
-
-
-def total_size(alpha: DoublePartition) -> int:
-    return sum(alpha[0]) + sum(alpha[1])
 
 
 def dim_wreath(alpha: DoublePartition) -> int:
@@ -115,7 +108,7 @@ def hyperoct_coeff(
         return 0
     if n > size_cap:
         raise SizeCapError(
-            f"total size {n} of {' / '.join(map(format_double_partition, triple))}"
+            f"total size {n} of {format_triple(triple)}"
             f" exceeds the desk-scale limit of {size_cap}"
         )
     # Block sizes: alpha-plus is s1 + s3, alpha-minus s2 + s4, beta-plus

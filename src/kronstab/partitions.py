@@ -101,9 +101,23 @@ def format_partition(lam: Partition) -> str:
     return ",".join(out)
 
 
+def format_double_partition(alpha: DoublePartition) -> str:
+    return f"{format_partition(alpha[0])};{format_partition(alpha[1])}"
+
+
+def total_size(alpha: DoublePartition) -> int:
+    return sum(alpha[0]) + sum(alpha[1])
+
+
+def is_double(triple) -> bool:
+    """Whether a triple holds double partitions, as lists or tuples alike."""
+    return not all(isinstance(p, int) for p in triple[0])
+
+
 def format_triple(triple) -> str:
-    """Render three partitions as the CLI's "/"-separated triple."""
-    return " / ".join(format_partition(p) for p in triple)
+    """Render three partitions or double partitions as the CLI's triple."""
+    fmt = format_double_partition if is_double(triple) else format_partition
+    return " / ".join(map(fmt, triple))
 
 
 def size_mismatch(sizes, text: str) -> ValueError:
@@ -112,6 +126,19 @@ def size_mismatch(sizes, text: str) -> ValueError:
         f"sizes {', '.join(map(str, sizes))} of {text} differ;"
         " all three partitions must have the same size"
     )
+
+
+def check_triple(triple, double: bool, what: str = "") -> tuple:
+    """Validate three partitions, or three double partitions, whose sizes
+    (total sizes) agree; a size error names the triple after ``what``."""
+    if double:
+        triple = tuple((check_partition(p), check_partition(m)) for p, m in triple)
+    else:
+        triple = tuple(map(check_partition, triple))
+    sizes = [total_size(a) if double else sum(a) for a in triple]
+    if len(set(sizes)) > 1:
+        raise size_mismatch(sizes, what + format_triple(triple))
+    return triple
 
 
 def part_at(lam: Partition, k: int) -> int:

@@ -1,34 +1,32 @@
-"""Shifted Kronecker sequences and the certified stabilization index.
+"""Shifted coefficient sequences and the certified stabilization index.
 
 A sequence is the map d to kron(lam + d*a, mu + d*b, nu + d*c) for a
-growth direction (a, b, c).  Given a certified bound B, the limit is the
-value at d = B, and the true stabilization index is the least d from
-which the sequence already sits at the limit.  Constancy is additionally
-checked on a margin beyond B; a violation there means the bound was not
-actually a bound, which must never happen for the certified families.
+growth direction (a, b, c), or to the hyperoctahedral coefficient when
+the base and direction hold double partitions, which grow half by half.
+Given a certified bound B, the limit is the value at d = B, and the true
+stabilization index is the least d from which the sequence already sits
+at the limit.  Constancy is additionally checked on a margin beyond B; a
+violation there means the bound was not actually a bound, which must
+never happen for the certified families.
 
-When the direction itself has g(a, b, c) >= 1 the sequence is weakly
-increasing: multiplying by that nonzero covariant is injective, since the
-covariant algebra is a domain.  A decrease is therefore an arithmetic
-fault and raises ``ConsistencyError``.
+When a Kronecker direction itself has g(a, b, c) >= 1 the sequence is
+weakly increasing: multiplying by that nonzero covariant is injective,
+since the covariant algebra is a domain.  A decrease is therefore an
+arithmetic fault and raises ``ConsistencyError``.  No such result is
+established for hyperoctahedral sequences, so they are not checked.
 """
 
 from dataclasses import dataclass
 
 from .partitions import (
     ConsistencyError,
-    Partition,
     add_scaled,
-    check_partition,
+    check_triple,
     format_triple,
-    size_mismatch,
+    is_double,
 )
 from .kronecker import kron
-
-DIRECTIONS: dict[str, tuple[Partition, Partition, Partition]] = {
-    "murnaghan": ((1,), (1,), (1,)),
-    "squares": ((1, 1), (1, 1), (2,)),
-}
+from .hyperoct import hyperoct_coeff
 
 
 class CertificateViolationError(RuntimeError):
@@ -48,27 +46,26 @@ class StabilizationResult:
         return len(self.sequence) - 1
 
 
-def sequence_term(
-    base: tuple[Partition, Partition, Partition],
-    direction: tuple[Partition, Partition, Partition],
-    d: int,
-) -> int:
-    """One term of the shifted sequence.  The direction's three sizes
-    must agree: otherwise no term beyond d = 0 is a valid triple."""
-    lam, mu, nu = (check_partition(p) for p in base)
-    a, b, c = direction = tuple(check_partition(p) for p in direction)
-    sizes = [sum(p) for p in direction]
-    if len(set(sizes)) > 1:
-        raise size_mismatch(sizes, f"direction {format_triple(direction)}")
-    return kron(add_scaled(lam, d, a), add_scaled(mu, d, b), add_scaled(nu, d, c))
+def sequence_term(base, direction, d: int) -> int:
+    """One term of the shifted sequence: a Kronecker coefficient, or a
+    hyperoctahedral one along double partitions.  The direction's three
+    sizes must agree: otherwise no term beyond d = 0 is a valid triple."""
+    double = is_double(direction)
+    direction = check_triple(direction, double, "direction ")
+    base = check_triple(base, double)
+    if double:
+        return hyperoct_coeff(*(
+            (add_scaled(p, d, a), add_scaled(m, d, b)) for (p, m), (a, b) in zip(base, direction)
+        ))
+    return kron(*(add_scaled(p, d, a) for p, a in zip(base, direction)))
 
 
 def _sequence(base, direction, horizon: int) -> tuple[int, ...]:
     """The terms d = 0..horizon, checked to be weakly increasing when the
-    direction has a nonzero Kronecker coefficient."""
+    direction is one of partitions with a nonzero Kronecker coefficient."""
     seq = tuple(sequence_term(base, direction, d) for d in range(horizon + 1))
     drop = next((d for d in range(1, len(seq)) if seq[d] < seq[d - 1]), None)
-    if drop is not None and kron(*direction) >= 1:
+    if drop is not None and not is_double(direction) and kron(*direction) >= 1:
         raise ConsistencyError(
             f"sequence {seq} of {format_triple(base)} along "
             f"{format_triple(direction)} decreases at d = {drop}"
@@ -86,11 +83,7 @@ def _result(seq, start: int, certificate: str, certified: bool) -> Stabilization
 
 
 def d_real(
-    base: tuple[Partition, Partition, Partition],
-    direction: tuple[Partition, Partition, Partition],
-    certified_bound: int,
-    margin: int = 2,
-    certificate: str = "certified bound",
+    base, direction, certified_bound: int, margin: int = 2, certificate: str = "certified bound"
 ) -> StabilizationResult:
     """Certified true stabilization index.
 
@@ -112,11 +105,7 @@ def d_real(
     return _result(seq, certified_bound, certificate, certified=True)
 
 
-def empirical_scan(
-    base: tuple[Partition, Partition, Partition],
-    direction: tuple[Partition, Partition, Partition],
-    horizon: int,
-) -> StabilizationResult:
+def empirical_scan(base, direction, horizon: int) -> StabilizationResult:
     """Uncertified scan along a custom direction: reports the first
     index from which the computed values agree up to the horizon, with
     no claim beyond it."""

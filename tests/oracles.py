@@ -214,12 +214,17 @@ def schur_poly(shape, n: int) -> Poly:
 
 def plethysm_oracle(lam, mu, nu) -> int:
     """Coefficient of the Schur polynomial s_nu in s_lam composed with
-    s_mu, computed over |nu| variables by expanding the weight multiset
-    of the inner polynomial and peeling off lex-leading Schur terms."""
-    deg = sum(lam) * sum(mu)
-    if deg != sum(nu):
-        return 0
-    n = deg  # enough variables to separate all partitions of deg
+    s_mu, read off the expansion of the pair (lam, mu)."""
+    return _plethysm_expansion(tuple(lam), tuple(mu)).get(tuple(p for p in nu if p), 0)
+
+
+@cache
+def _plethysm_expansion(lam, mu) -> dict:
+    """Schur expansion {nu: coefficient} of s_lam composed with s_mu,
+    computed over as many variables as its degree by expanding the weight
+    multiset of the inner polynomial and peeling off lex-leading Schur
+    terms.  Cached, so every nu of one pair is read off one expansion."""
+    n = sum(lam) * sum(mu)  # enough variables to separate all partitions of the degree
     inner = ssyt_weights(mu, n)
     m = len(inner)
     # outer evaluation: one monomial per SSYT of shape lam with entries
@@ -234,15 +239,13 @@ def plethysm_oracle(lam, mu, nu) -> int:
         key = tuple(expo)
         comp[key] = comp.get(key, 0) + 1
     # peel Schur polynomials off the symmetric polynomial
-    result = 0
-    nu_full = tuple(list(nu) + [0] * (n - len(nu)))
+    expansion = {}
     while comp:
         lead = max(comp)
         coeff = comp[lead]
         assert list(lead) == sorted(lead, reverse=True), lead
-        if lead == nu_full:
-            result = coeff
         shape = tuple(p for p in lead if p)
+        expansion[shape] = coeff
         for w, c in schur_poly(shape, n).items():
             key = w
             nv = comp.get(key, 0) - coeff * c
@@ -250,7 +253,7 @@ def plethysm_oracle(lam, mu, nu) -> int:
                 comp[key] = nv
             else:
                 comp.pop(key, None)
-    return result
+    return expansion
 
 
 # ---------------------------------------------------------------------------

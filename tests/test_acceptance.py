@@ -11,6 +11,7 @@ import math
 from functools import cache
 
 from kronstab.bounds import (
+    FAMILIES,
     bound_D1,
     bound_D2,
     bound_DB,
@@ -37,7 +38,7 @@ from kronstab.kronecker import kron
 from kronstab.lr import lr, schur_product_expand
 from kronstab.partitions import conjugate, dim_gl, dim_sn, partitions_of, z_order
 from kronstab.plethysm import plethysm_coeff
-from kronstab.stabilization import DIRECTIONS, sequence_term
+from kronstab.stabilization import sequence_term
 
 import oracles
 
@@ -67,7 +68,7 @@ def _row_data(table_id, idx):
     else:
         bounds = {"D2": bound_D2(*triple)}
         checked = ("D2",)
-    direction = DIRECTIONS[table.family]
+    direction = FAMILIES[table.family].direction
     horizon = max(bounds[name] for name in checked) + 3
     sequence = tuple(
         sequence_term(triple, direction, d) for d in range(horizon + 1)

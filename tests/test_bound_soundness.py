@@ -7,8 +7,8 @@ multiset of three partitions is checked once.  The squares direction is
 symmetric in the first two partitions only, and D2 needs both of them to
 have two or more rows.  So is the hyperoctahedral coefficient in its
 first two double partitions, and ``bound_hyperoct`` needs both of their
-plus parts to have two or more rows; its sequence adds one box to every
-plus part's first row, and an empty plus part grows as (d).
+plus parts to have two or more rows.  Every sequence is the family's own,
+``sequence_term`` along its registered direction.
 """
 
 from functools import cache
@@ -16,10 +16,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from kronstab.bounds import bound_values
-from kronstab.hyperoct import hyperoct_coeff
-from kronstab.partitions import partitions_of
-from kronstab.stabilization import DIRECTIONS, sequence_term
+from kronstab.bounds import FAMILIES, bound_values
+from kronstab.partitions import is_double, partitions_of
+from kronstab.stabilization import sequence_term
 
 MARGIN = 2
 MAX_SIZE = {"murnaghan": 8, "squares": 7, "hyperoct": 5}
@@ -27,7 +26,7 @@ MAX_SIZE = {"murnaghan": 8, "squares": 7, "hyperoct": 5}
 
 def _triples(family):
     for n in range(MAX_SIZE[family] + 1):
-        if family == "hyperoct":
+        if is_double(FAMILIES[family].direction):
             shapes = [(p, m) for k in range(n + 1)
                       for p in partitions_of(k) for m in partitions_of(n - k)]
             long = [dp for dp in shapes if len(dp[0]) >= 2]
@@ -42,22 +41,12 @@ def _triples(family):
                 yield lam, mu, nu
 
 
-def _grow(double, d):
-    plus, minus = double
-    if plus:
-        return (plus[0] + d,) + plus[1:], minus
-    return (d,) if d else (), minus
-
-
 @cache
 def _term(family, triple, d):
-    if family == "hyperoct":
-        return hyperoct_coeff(*(_grow(dp, d) for dp in triple))
-    return sequence_term(triple, DIRECTIONS[family], d)
+    return sequence_term(triple, FAMILIES[family].direction, d)
 
 
 def _gate(family):
-    names = bound_values(family, *next(_triples(family)))
     return [
         pytest.param(
             family, name,
@@ -66,11 +55,11 @@ def _gate(family):
             marks=pytest.mark.xfail(strict=True, reason="D2 is not sound")
             if name == "D2" else (),
         )
-        for name in names
+        for name in FAMILIES[family].bounds
     ]
 
 
-@pytest.mark.parametrize("family, name", _gate("murnaghan") + _gate("squares") + _gate("hyperoct"))
+@pytest.mark.parametrize("family, name", [p for family in FAMILIES for p in _gate(family)])
 def test_bound_is_sound(family, name):
     violations = []
     for triple in _triples(family):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from kronstab.bounds import (
-    CERTIFIED,
+    FAMILIES,
     DegenerateTripleError,
     bound_D1,
     bound_D2,
@@ -155,5 +155,5 @@ def test_bound_values():
     assert bound_values("hyperoct", *double) == {"D_hyperoct": bound_hyperoct(*double)}
     with pytest.raises(ValueError):
         bound_values("nope", (1,), (1,), (1,))
-    for family, name in CERTIFIED.items():
-        assert name in bound_values(family, *TABLE_2.rows[0].triple)
+    for family in FAMILIES.values():
+        assert family.certified in family.bounds

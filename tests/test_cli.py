@@ -1,8 +1,11 @@
+import argparse
 import json
 
 import pytest
 
-from kronstab.cli import main
+from kronstab.bounds import FAMILIES
+from kronstab.cli import build_parser, main
+from kronstab.hyperoct import hyperoct_coeff
 
 
 def run(capsys, *argv):
@@ -130,6 +133,37 @@ def test_dreal_custom_direction(capsys):
         "--direction", "1,1 / 1,1 / 2", "--horizon", "4",
     )
     assert code == 0 and "empirical" in out
+
+
+def test_dreal_hyperoct(capsys):
+    # A soundness gate triple; the empty plus part grows as (d).
+    code, out, _ = run(capsys, "dreal", "hyperoct", "1,1;2 / 1,1;2 / -;3,1")
+    assert code == 0
+    fields = dict(line.split(" = ") for line in out.splitlines())
+    assert fields["certificate"] == "D_hyperoct"
+    assert fields["d_real"] == "2" and fields["limit"] == "4"
+    terms = [
+        hyperoct_coeff(((1 + d, 1), (2,)), ((1 + d, 1), (2,)), ((d,) if d else (), (3, 1)))
+        for d in range(5)
+    ]
+    assert fields["sequence"] == str(terms) == "[0, 3, 4, 4, 4]"
+
+
+def test_dreal_hyperoct_rejects_a_custom_direction(capsys):
+    # custom directions are Kronecker sequences; the double base must not
+    # reach kron
+    code, out, err = run(
+        capsys, "dreal", "hyperoct", "3,1;1 / 2,2;1 / 2,1,1;1", "--direction", "1 / 1 / 1"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: --direction is for Kronecker sequences only, not hyperoct\n"
+
+
+def test_family_choices_are_the_registry():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("bound", "dreal"):
+        family = next(a for a in sub.choices[command]._actions if a.dest == "family")
+        assert family.choices == list(FAMILIES)
 
 
 def test_dreal_custom_direction_size_mismatch(capsys):

@@ -1,19 +1,19 @@
 import pytest
 
 from kronstab import stabilization
-from kronstab.bounds import bound_D1, bound_D2
+from kronstab.bounds import FAMILIES, bound_D1, bound_D2, bound_hyperoct
 from kronstab.fixtures import TABLE_1, TABLE_2
 from kronstab.partitions import ConsistencyError
 from kronstab.stabilization import (
-    DIRECTIONS,
     CertificateViolationError,
     d_real,
     empirical_scan,
     sequence_term,
 )
 
-ONE_BOX = DIRECTIONS["murnaghan"]
-SQUARES = DIRECTIONS["squares"]
+ONE_BOX = FAMILIES["murnaghan"].direction
+SQUARES = FAMILIES["squares"].direction
+HYPEROCT = FAMILIES["hyperoct"].direction
 
 # cheap reference rows (small degrees): index -> expected d_real
 CHEAP_1 = {1: 3, 3: 4, 7: 3, 8: 0, 9: 1}
@@ -115,6 +115,27 @@ def test_decreasing_sequence_is_a_fault(monkeypatch, scan):
             scan(base, direction)
     # g((2), (2), (1,1)) = 0: no covariant, so no monotonicity claim
     scan(base, ((2,), (2,), (1, 1)))
+    # nor is one established for hyperoctahedral sequences
+    scan(base, HYPEROCT)
+
+
+def test_hyperoct_lists_work_like_tuples():
+    # the kind of a term follows the direction's shape, not its type
+    base = (((1, 1), (2,)), ((1, 1), (2,)), ((), (3, 1)))
+    as_lists = [[list(plus), list(minus)] for plus, minus in base]
+    assert [sequence_term(base, HYPEROCT, d) for d in range(3)] == [0, 3, 4]
+    for d in range(3):
+        expected = sequence_term(base, HYPEROCT, d)
+        assert sequence_term(as_lists, [[[1], []]] * 3, d) == expected
+        assert sequence_term(as_lists, HYPEROCT, d) == expected
+    res = d_real(as_lists, [[[1], []]] * 3, bound_hyperoct(*base))
+    assert res.sequence == d_real(base, HYPEROCT, bound_hyperoct(*base)).sequence
+
+
+def test_hyperoct_direction_sizes_must_agree():
+    base = (((2,), (1,)), ((2,), (1,)), ((1, 1), (1,)))
+    with pytest.raises(ValueError, match=r"^sizes 1, 1, 2 of direction 1;- / 1;- / 1;1 differ"):
+        sequence_term(base, (((1,), ()), ((1,), ()), ((1,), (1,))), 0)
 
 
 def test_certificate_is_recorded():
