@@ -6,6 +6,7 @@ is well defined for every ``k >= 1``.
 """
 
 from functools import cache
+from itertools import zip_longest
 from math import factorial
 
 
@@ -161,8 +162,7 @@ def add_scaled(lam: Partition, d: int, pi: Partition) -> Partition:
     """
     if d < 0:
         raise ValueError("scale factor must be nonnegative")
-    length = max(len(lam), len(pi))
-    parts = [part_at(lam, k) + d * part_at(pi, k) for k in range(1, length + 1)]
+    parts = (a + d * b for a, b in zip_longest(lam, pi, fillvalue=0))
     return check_partition(p for p in parts if p > 0)
 
 

@@ -5,18 +5,25 @@ is the algebra morphism generated by ``p_k`` composed with ``p_m`` giving
 ``p_{k*m}``.  Schur functions appear only at the boundary, converted
 through character values.  Coefficients are integers over one common
 denominator, so the only division is the final exactness check.
+
+Inside a composition a power-sum index rho is an integer *code*: the
+multiplicity of the part j sits in a bit field of width ``BITS`` at bit
+``BITS * (j - 1)``.  No multiplicity exceeds the degree, which is at most
+``DEGREE_CAP < 1 << BITS``, so no field overflows and the product of
+``p_rho`` and ``p_sigma`` is ``p`` of the sum of their codes.  Codes
+compare as their partitions do lexicographically, largest part first.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
 
 from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, format_triple, partitions_of
 # ``character`` stays a name here: perfbench traces ``plethysm.character``.
-from .characters import character, column, rank, size_column
+from .characters import character, column, count, size_column
 
 DEGREE_CAP = 24
+BITS = DEGREE_CAP.bit_length()
 
 
 @dataclass(frozen=True)
@@ -29,18 +36,18 @@ class SymFunc:
     coeffs: tuple[tuple[Partition, int], ...]
     denom: int = 1
 
-    def as_dict(self) -> dict[Partition, Fraction]:
-        return {lam: Fraction(c, self.denom) for lam, c in self.coeffs}
-
     def degree(self) -> int:
         for lam, _ in self.coeffs:
             return sum(lam)
         return 0
 
 
-def _make(basis: str, d: dict[Partition, int], denom: int) -> SymFunc:
+def _make(basis: str, d: dict, denom: int, decode=lambda k: k) -> SymFunc:
+    """The ``SymFunc`` of the numerators ``d`` over ``denom``, its keys
+    sorted in decreasing order, then turned into partitions by
+    ``decode``."""
     g = gcd(denom, *d.values())
-    items = tuple(sorted(((k, v // g) for k, v in d.items() if v), reverse=True))
+    items = tuple((decode(k), v // g) for k, v in sorted(d.items(), reverse=True) if v)
     return SymFunc(basis, items, denom // g)
 
 
@@ -55,31 +62,50 @@ def schur_to_powersum(lam: Partition) -> SymFunc:
     return _make("powersum", d, factorial(n))
 
 
-def _schur_numerators(f: SymFunc, shapes) -> list[int]:
-    """For each shape ``nu`` of the degree of ``f``, the sum of ``c_rho
-    * character(nu, rho)`` over the terms of ``f``: its Hall inner
-    product with the Schur function at ``nu``, times ``f.denom``."""
-    terms = [(rank(rho), c) for rho, c in f.coeffs]
-    top = max((rho[0] for rho, _ in f.coeffs if rho), default=0)
-    out = []
-    for nu in shapes:
-        col = column(nu, top)
-        out.append(sum(c * col[r] for r, c in terms))
-    return out
+def _code(rho: Partition, k: int = 1) -> int:
+    """Code of the index ``k * rho``."""
+    return sum(1 << BITS * (k * p - 1) for p in rho)
 
 
-def powersum_to_schur(f: SymFunc) -> SymFunc:
-    """Convert from the power-sum basis using the Hall inner product:
-    the Schur coefficient at ``nu`` is the sum of ``c_rho * character(nu,
-    rho)`` over the terms of ``f``."""
-    if f.basis != "powersum":
-        raise ValueError("expected a power-sum element")
-    shapes = partitions_of(f.degree())
-    return _make("schur", dict(zip(shapes, _schur_numerators(f, shapes))), f.denom)
+def _runs(code: int):
+    """The parts j of a coded index with their multiplicities m, largest
+    part first, as pairs ``(j, m)``."""
+    while code:
+        shift = (code.bit_length() - 1) // BITS * BITS
+        m = code >> shift
+        code ^= m << shift
+        yield shift // BITS + 1, m
 
 
-def plethysm_powersum(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Plethysm in the power-sum basis.
+def _decode(code: int) -> Partition:
+    return tuple(j for j, m in _runs(code) for _ in range(m))
+
+
+# Class position of each code met so far; a code fixes its size, so one
+# map serves every degree.  It holds only indices that occurred: at most
+# the partitions of the sizes up to ``DEGREE_CAP``, about 7 300.
+_positions: dict[int, int] = {}
+
+
+def _position(code: int, n: int) -> int:
+    """Class position (``characters.rank``) of a coded index of size
+    ``n``.  ``rank`` adds ``count(n', j - 1)`` for each part j, with n'
+    the size left from that part on; for a run of m parts j those terms
+    telescope to ``count(n, j) - count(n - m*j, j)``."""
+    r = _positions.get(code)
+    if r is None:
+        r = 0
+        for j, m in _runs(code):
+            rest = n - m * j
+            r += count(n, j) - count(rest, j)
+            n = rest
+        _positions[code] = r
+    return r
+
+
+def _compose(f: SymFunc, g: SymFunc) -> tuple[dict[int, int], int]:
+    """Plethysm in the power-sum basis: numerators by code, over one
+    common denominator.
 
     ``p_k`` composed with ``g`` multiplies every index of ``g`` by
     ``k``; composition is extended multiplicatively over the parts of
@@ -91,21 +117,34 @@ def plethysm_powersum(f: SymFunc, g: SymFunc) -> SymFunc:
     if f.basis != "powersum" or g.basis != "powersum":
         raise ValueError("both arguments must be power-sum elements")
     deg = f.degree()
-    out: dict[Partition, int] = {}
+    if deg * g.degree() > DEGREE_CAP:
+        raise SizeCapError(
+            f"degree {deg * g.degree()} of the composition exceeds the"
+            f" desk-scale limit of {DEGREE_CAP}"
+        )
+    scaled: dict[int, list[tuple[int, int]]] = {}  # p_k[g] for each part k
+    out: dict[int, int] = {}
     for rho, a in f.coeffs:
-        # product over parts k of rho of (g with indices scaled by k)
-        partial: dict[Partition, int] = {(): a * g.denom ** (deg - len(rho))}
+        partial = {0: a * g.denom ** (deg - len(rho))}
         for k in rho:
-            nxt: dict[Partition, int] = {}
-            for sigma, b in g.coeffs:
-                scaled = tuple(k * s for s in sigma)
+            if k not in scaled:
+                scaled[k] = [(_code(sigma, k), b) for sigma, b in g.coeffs]
+            nxt: dict[int, int] = {}
+            for s, b in scaled[k]:
                 for idx, c in partial.items():
-                    key = tuple(sorted(idx + scaled, reverse=True))
+                    key = idx + s
                     nxt[key] = nxt.get(key, 0) + c * b
             partial = nxt
         for idx, c in partial.items():
             out[idx] = out.get(idx, 0) + c
-    return _make("powersum", out, f.denom * g.denom ** deg)
+    return out, f.denom * g.denom ** deg
+
+
+def plethysm_powersum(f: SymFunc, g: SymFunc) -> SymFunc:
+    """Plethysm in the power-sum basis, of degree at most
+    ``DEGREE_CAP``."""
+    comp, denom = _compose(f, g)
+    return _make("powersum", comp, denom, _decode)
 
 
 def plethysm_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -124,11 +163,13 @@ def plethysm_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
             f"degree {deg} of {format_triple((lam, mu, nu))} exceeds the"
             f" desk-scale limit of {DEGREE_CAP}"
         )
-    comp = plethysm_powersum(schur_to_powersum(lam), schur_to_powersum(mu))
-    [total] = _schur_numerators(comp, [nu])
-    coeff, rem = divmod(total, comp.denom)
+    comp, denom = _compose(schur_to_powersum(lam), schur_to_powersum(mu))
+    # The top field of the largest code is the largest part of any index.
+    col = column(nu, (max(comp).bit_length() + BITS - 1) // BITS)
+    total = sum(c * col[_position(code, deg)] for code, c in comp.items())
+    coeff, rem = divmod(total, denom)
     if rem or coeff < 0:
         raise ConsistencyError(
-            f"plethysm coefficient came out {total}/{comp.denom} for {lam}, {mu}, {nu}"
+            f"plethysm coefficient came out {total}/{denom} for {lam}, {mu}, {nu}"
         )
     return coeff

@@ -46,13 +46,23 @@ class StabilizationResult:
         return len(self.sequence) - 1
 
 
-def sequence_term(base, direction, d: int) -> int:
-    """One term of the shifted sequence: a Kronecker coefficient, or a
-    hyperoctahedral one along double partitions.  The direction's three
-    sizes must agree: otherwise no term beyond d = 0 is a valid triple."""
+def _checked(base, direction):
+    """The validated base and direction, and whether they hold double
+    partitions."""
     double = is_double(direction)
     direction = check_triple(direction, double, "direction ")
-    base = check_triple(base, double)
+    return check_triple(base, double), direction, double
+
+
+def sequence_term(base, direction, d: int, *, checked: bool = False) -> int:
+    """One term of the shifted sequence: a Kronecker coefficient, or a
+    hyperoctahedral one along double partitions.  The direction's three
+    sizes must agree: otherwise no term beyond d = 0 is a valid triple.
+    ``checked=True`` skips validating ``base`` and ``direction``, for a
+    caller that has done so once for the whole sequence."""
+    double = is_double(direction)
+    if not checked:
+        base, direction, double = _checked(base, direction)
     if double:
         return hyperoct_coeff(*(
             (add_scaled(p, d, a), add_scaled(m, d, b)) for (p, m), (a, b) in zip(base, direction)
@@ -62,10 +72,12 @@ def sequence_term(base, direction, d: int) -> int:
 
 def _sequence(base, direction, horizon: int) -> tuple[int, ...]:
     """The terms d = 0..horizon, checked to be weakly increasing when the
-    direction is one of partitions with a nonzero Kronecker coefficient."""
-    seq = tuple(sequence_term(base, direction, d) for d in range(horizon + 1))
+    direction is one of partitions with a nonzero Kronecker coefficient.
+    The base and direction are validated here, once."""
+    base, direction, double = _checked(base, direction)
+    seq = tuple(sequence_term(base, direction, d, checked=True) for d in range(horizon + 1))
     drop = next((d for d in range(1, len(seq)) if seq[d] < seq[d - 1]), None)
-    if drop is not None and not is_double(direction) and kron(*direction) >= 1:
+    if drop is not None and not double and kron(*direction) >= 1:
         raise ConsistencyError(
             f"sequence {seq} of {format_triple(base)} along "
             f"{format_triple(direction)} decreases at d = {drop}"

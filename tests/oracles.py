@@ -5,11 +5,20 @@ the library code: characters come from explicit polynomial alternants,
 Kronecker coefficients from element-by-element group averaging, LR
 coefficients from filtered brute-force fillings, plethysm from weight
 multisets of composed Schur polynomials, and hyperoctahedral
-coefficients from an explicitly constructed wreath-product group.
+coefficients from an explicitly constructed wreath-product group.  The
+power-sum helpers at the end are not independent: they are the plain
+forms, over partition tuples and rationals, of what the plethysm engine
+does with coded indices.
 """
 
 import itertools
+from fractions import Fraction
 from functools import cache
+from math import gcd
+
+from kronstab.characters import column, rank
+from kronstab.partitions import partitions_of
+from kronstab.plethysm import SymFunc
 
 Poly = dict  # exponent tuple -> int coefficient
 
@@ -254,6 +263,54 @@ def _plethysm_expansion(lam, mu) -> dict:
             else:
                 comp.pop(key, None)
     return expansion
+
+
+# ---------------------------------------------------------------------------
+# plethysm in the power-sum basis over partition tuples
+
+
+def as_dict(f: SymFunc) -> dict:
+    """The coefficients of ``f`` as rationals."""
+    return {lam: Fraction(c, f.denom) for lam, c in f.coeffs}
+
+
+def powersum_to_schur(f: SymFunc) -> dict:
+    """Schur expansion {nu: rational} of a power-sum element by the Hall
+    inner product: the coefficient at ``nu`` is the sum of ``c_rho *
+    character(nu, rho)`` over the terms of ``f``."""
+    assert f.basis == "powersum"
+    out = {}
+    for nu in partitions_of(f.degree()):
+        col = column(nu)
+        value = Fraction(sum(c * col[rank(rho)] for rho, c in f.coeffs), f.denom)
+        if value:
+            out[nu] = value
+    return out
+
+
+def powersum_composition(f: SymFunc, g: SymFunc) -> SymFunc:
+    """f[g] in the power-sum basis with partition-tuple keys: each index
+    of ``g`` is scaled by each part k of an index rho of ``f``, and the
+    products are merged by sorting the concatenated parts.  Every term is
+    put over ``f.denom * g.denom ** deg f``."""
+    deg = f.degree()
+    out = {}
+    for rho, a in f.coeffs:
+        partial = {(): a * g.denom ** (deg - len(rho))}
+        for k in rho:
+            nxt = {}
+            for sigma, b in g.coeffs:
+                scaled = tuple(k * s for s in sigma)
+                for idx, c in partial.items():
+                    key = tuple(sorted(idx + scaled, reverse=True))
+                    nxt[key] = nxt.get(key, 0) + c * b
+            partial = nxt
+        for idx, c in partial.items():
+            out[idx] = out.get(idx, 0) + c
+    denom = f.denom * g.denom ** deg
+    common = gcd(denom, *out.values())
+    items = tuple((k, v // common) for k, v in sorted(out.items(), reverse=True) if v)
+    return SymFunc("powersum", items, denom // common)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,9 @@ def _triples(family):
 
 @cache
 def _term(family, triple, d):
-    return sequence_term(triple, FAMILIES[family].direction, d)
+    # The triples come from ``partitions_of`` and the directions from the
+    # registry, so the per-term input check is skipped, as in ``d_real``.
+    return sequence_term(triple, FAMILIES[family].direction, d, checked=True)
 
 
 def _gate(family):

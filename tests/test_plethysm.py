@@ -1,23 +1,64 @@
-from fractions import Fraction
+import json
+from pathlib import Path
 
 import pytest
 
 from kronstab.partitions import SizeCapError, dim_gl, partitions_of
 from kronstab.plethysm import (
+    BITS,
+    DEGREE_CAP,
     plethysm_coeff,
     plethysm_powersum,
-    powersum_to_schur,
     schur_to_powersum,
 )
 
-from oracles import plethysm_oracle
+from oracles import plethysm_oracle, powersum_composition, powersum_to_schur
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def test_schur_powersum_round_trip():
     for n in range(1, 7):
         for lam in partitions_of(n):
-            back = powersum_to_schur(schur_to_powersum(lam))
-            assert back.as_dict() == {lam: Fraction(1)}
+            assert powersum_to_schur(schur_to_powersum(lam)) == {lam: 1}
+
+
+def test_code_fields_cannot_overflow():
+    # A multiplicity is at most the degree, so raising the cap must widen
+    # the fields.
+    assert 1 << BITS > DEGREE_CAP
+
+
+def _composition_agrees(lam, mu):
+    f, g = schur_to_powersum(lam), schur_to_powersum(mu)
+    comp = plethysm_powersum(f, g)
+    assert comp == powersum_composition(f, g)
+    return comp
+
+
+def test_coded_composition_against_tuple_reference():
+    pairs = 0
+    for la in range(1, 13):
+        for lb in range(1, 12 // la + 1):
+            for lam in partitions_of(la):
+                for mu in partitions_of(lb):
+                    _composition_agrees(lam, mu)
+                    pairs += 1
+    assert pairs == 688
+
+
+def test_coded_composition_on_benchmark_pairs():
+    pairs = {(tuple(lam), tuple(mu)) for lam, mu, _, _ in json.loads(REFERENCE.read_text())["plethysm"]}
+    assert {sum(lam) * sum(mu) for lam, mu in pairs} == {18, 24}
+    for lam, mu in sorted(pairs):
+        comp = _composition_agrees(lam, mu)
+        # The last index is p_1 to the degree: the widest field, full.
+        assert comp.coeffs[-1][0] == (1,) * comp.degree()
+
+
+def test_composition_degree_cap():
+    with pytest.raises(SizeCapError):
+        plethysm_powersum(schur_to_powersum((5,)), schur_to_powersum((5,)))
 
 
 def test_against_weight_multiset_oracle():
@@ -59,7 +100,7 @@ def test_dimension_consistency():
         comp = plethysm_powersum(schur_to_powersum(lam), schur_to_powersum(mu))
         schur = powersum_to_schur(comp)
         for n in range(1, 4):
-            total = sum(c * dim_gl(nu, n) for nu, c in schur.coeffs)
+            total = sum(c * dim_gl(nu, n) for nu, c in schur.items())
             assert total == dim_gl(lam, dim_gl(mu, n))
 
 
@@ -100,7 +141,7 @@ def test_dimension_consistency_above_degree_8(lam, mu):
         plethysm_powersum(schur_to_powersum(lam), schur_to_powersum(mu))
     )
     for n in range(2, 5):
-        total = sum(c * dim_gl(nu, n) for nu, c in schur.as_dict().items())
+        total = sum(c * dim_gl(nu, n) for nu, c in schur.items())
         assert total == dim_gl(lam, dim_gl(mu, n))
 
 

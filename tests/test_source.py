@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kronstab
@@ -24,3 +27,15 @@ def test_exactness_errors_survive_optimisation():
     assert reexported is ConsistencyError is kronstab.ConsistencyError
     for error in (ConsistencyError, CertificateViolationError):
         assert not issubclass(error, AssertionError)
+
+
+def test_import_loads_no_fractions():
+    # Exact values are integers over one denominator; importing
+    # ``fractions`` (and the ``decimal`` it pulls in) would only add to
+    # the start-up time of every process.
+    path = os.pathsep.join([str(Path(kronstab.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, kronstab; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert loaded == "[]\n"

@@ -105,7 +105,7 @@ def test_decreasing_sequence_is_a_fault(monkeypatch, scan):
     # both built-in directions have g(a, b, c) = 1, so their sequences
     # weakly increase; a decrease can only be an arithmetic fault
     # 5, 4, 3, 3, 3: constant beyond d = 2, decreasing before it
-    def term(base, direction, d):
+    def term(base, direction, d, **_):
         return max(5 - d, 3)
 
     monkeypatch.setattr(stabilization, "sequence_term", term)
@@ -116,7 +116,7 @@ def test_decreasing_sequence_is_a_fault(monkeypatch, scan):
     # g((2), (2), (1,1)) = 0: no covariant, so no monotonicity claim
     scan(base, ((2,), (2,), (1, 1)))
     # nor is one established for hyperoctahedral sequences
-    scan(base, HYPEROCT)
+    scan((((2, 1), ()),) * 3, HYPEROCT)
 
 
 def test_hyperoct_lists_work_like_tuples():
