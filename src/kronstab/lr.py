@@ -1,8 +1,10 @@
-"""Littlewood-Richardson coefficients by lattice-word tableau counting."""
+"""Littlewood-Richardson coefficients: one coefficient by lattice-word
+tableau counting, a whole Schur product by a dynamic program over
+horizontal strips.  The two share no code, so each checks the other."""
 
 from functools import cache
 
-from .partitions import Partition, check_partition, contains, part_at
+from .partitions import Partition, check_partition, conjugate, contains, part_at
 
 
 def lr(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -67,54 +69,68 @@ def schur_product_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Expand the product of two Schur functions: a map from shapes
     ``nu`` to the coefficient ``lr(lam, mu, nu)``.
 
-    Built in a single pass by growing ``lam``: the cells of row i of
-    ``mu`` are added as a horizontal strip, and the running row counts
-    enforce the lattice condition, so each completed chain of shapes is
-    exactly one Littlewood-Richardson filling.
+    A dynamic program over stages, independent of ``lr``.  It multiplies
+    by the factor with the fewest rows, or, transposing both factors and
+    the result, columns; stage i adds its letter i as a horizontal
+    strip.  The lattice condition caps the cumulative count of letter i
+    through each row by that of letter i-1 through the row above, so a
+    state is the shape so far with these caps.  Equal states merge,
+    adding their multiplicities, and the last stage keys by shape alone.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
-    out: dict[Partition, int] = {}
-
-    def grow(stage: int, shape: Partition, prev_counts: tuple[int, ...]) -> None:
-        if stage == len(mu):
-            out[shape] = out.get(shape, 0) + 1
-            return
-        k = mu[stage]
-        maxrows = len(shape) + 1
-        adds = [0] * maxrows
-
-        # cp tracks the cumulative count of the previous letter through
-        # row r-1; the lattice condition caps the new letter's cumulative
-        # count through row r by it
-        def go(r: int, left: int, cp: int, cn: int) -> None:
-            if r == maxrows:
-                if left == 0:
-                    new_shape = tuple(
-                        (shape[i] if i < len(shape) else 0) + adds[i]
-                        for i in range(maxrows)
-                    )
-                    grow(stage + 1, tuple(p for p in new_shape if p), tuple(adds))
-                return
-            old_r = shape[r] if r < len(shape) else 0
-            cap = left
-            if r > 0:
-                # horizontal strip: stay within the previous length of
-                # the row above
-                cap = min(cap, (shape[r - 1] if r - 1 < len(shape) else 0) - old_r)
-            for take in range(cap + 1):
-                if stage > 0 and cn + take > cp:
-                    break
-                adds[r] = take
-                go(
-                    r + 1,
-                    left - take,
-                    cp + (prev_counts[r] if r < len(prev_counts) else 0),
-                    cn + take,
-                )
-            adds[r] = 0
-
-        go(0, k, 0, 0)
-
-    grow(0, lam, ())
-    return out
+    # c(lam, mu; nu) = c(lam', mu'; nu'): when the narrower factor has
+    # fewer columns than the shorter has rows, transposing gives fewer
+    # stages
+    transpose = bool(lam and mu) and min(len(lam), len(mu)) > min(lam[0], mu[0])
+    if transpose:
+        lam, mu = conjugate(lam), conjugate(mu)
+    if len(mu) > len(lam):
+        lam, mu = mu, lam
+    if not mu:
+        return {lam: 1}
+    # caps[r] bounds the letter's cumulative count through row r; a cap
+    # of the first letter's own count leaves it unbounded
+    states = {(lam, (mu[0],) * (len(lam) + 1)): 1}
+    for stage, k in enumerate(mu):
+        last = stage == len(mu) - 1
+        # a cap at or above the next letter's count never binds, so
+        # clipping it there merges more states
+        clip = 0 if last else mu[stage + 1]
+        merged: dict = {}
+        for (shape, caps), mult in states.items():
+            old = shape + (0,)
+            # cumulative counts (0, c_0, ..., c_{r-1}) through the rows
+            # filled so far; a strip is complete once it reaches k
+            partial = [(0,)]
+            strips = []
+            for r, o in enumerate(old):
+                # horizontal strip: row r stays within the old row r-1
+                width = old[r - 1] - o if r else k
+                grown = []
+                for cum in partial:
+                    cn = cum[-1]
+                    left = k - cn
+                    # room: the rows below take at most o cells in all
+                    # (their widths telescope)
+                    for take in range(max(0, left - o), min(left, width, caps[r] - cn) + 1):
+                        if take == left:
+                            strips.append(cum + (k,))
+                        else:
+                            grown.append(cum + (cn + take,))
+                partial = grown
+            for cum in strips:
+                m = len(cum) - 1
+                new = tuple([o + cum[r + 1] - cum[r] for r, o in enumerate(old[:m])]) + shape[m:]
+                if last:
+                    key = new
+                else:
+                    # the next letter's cap through row r is cum[r], this
+                    # letter's count through row r-1; past row m-1 it is k
+                    tail = (clip,) * (len(new) - m)
+                    key = (new, tuple([c if c < clip else clip for c in cum]) + tail)
+                merged[key] = merged.get(key, 0) + mult
+        states = merged
+    if transpose:
+        return {conjugate(nu): c for nu, c in states.items()}
+    return states

@@ -49,6 +49,16 @@ def test_bound_queries_pass(tracer):
     assert tracer.stats["bounds.bound_D1"][0] > 0
 
 
+def test_lr_queries_pass(tracer):
+    # the benchmark checks each coefficient against the product expansion
+    queries = workloads.query_mix_inputs(0, workloads.load_reference())
+    lrs = [q for q in queries if q["kind"] == "lr"]
+    assert len(lrs) == 120
+    for q in lrs:
+        assert worker.query_lr(worker.as_tuple(q["args"]), None), q["args"]
+    assert tracer.stats["lr.schur_product_expand"][0] == 120
+
+
 def test_hyperoct_reference_queries():
     # Every stored value came from the engine the block contraction
     # replaced, at total sizes 10-14.

@@ -1,9 +1,10 @@
 import itertools
+from math import comb
 
 import pytest
 
 from kronstab.lr import lr, schur_product_expand
-from kronstab.partitions import PartitionError, dim_gl, partitions_of
+from kronstab.partitions import PartitionError, dim_gl, dim_sn, partitions_of
 
 from oracles import is_horizontal_strip, lr_oracle
 
@@ -50,12 +51,35 @@ def test_two_row_even_shape_detects_equal_rows():
                 assert lr(lam, mu, (2 * d,)) == expected
 
 
-def test_product_expansion_matches_pointwise_lr():
+def test_product_expansion_against_brute_force_fillings():
     for lam, mu in _pairs(4, 4):
         n = sum(lam) + sum(mu)
         expansion = schur_product_expand(lam, mu)
         for nu in partitions_of(n):
-            assert expansion.get(nu, 0) == lr(lam, mu, nu)
+            assert expansion.get(nu, 0) == lr_oracle(lam, mu, nu)
+
+
+def test_product_expansion_matches_pointwise_lr():
+    # the two engines share no code, so each checks the other; the
+    # expansion holds no zero coefficients and no shape of another size
+    for lam, mu in _pairs(6, 6):
+        n = sum(lam) + sum(mu)
+        expected = {nu: c for nu in partitions_of(n) if (c := lr(lam, mu, nu))}
+        assert schur_product_expand(lam, mu) == expected
+
+
+def test_product_expansion_is_symmetric():
+    # the expansion may swap the factors, or transpose both
+    for lam, mu in _pairs(5, 5):
+        assert schur_product_expand(lam, mu) == schur_product_expand(mu, lam)
+
+
+def test_product_expansion_symmetric_group_dimensions():
+    # inducing from S_a x S_b to S_{a+b}: sum of c f^nu = C(n, a) f^lam f^mu
+    for lam, mu in _pairs(6, 6):
+        n = sum(lam) + sum(mu)
+        total = sum(c * dim_sn(nu) for nu, c in schur_product_expand(lam, mu).items())
+        assert total == comb(n, sum(lam)) * dim_sn(lam) * dim_sn(mu)
 
 
 def test_product_expansion_dimension_identity():

@@ -39,3 +39,17 @@ def test_import_loads_no_fractions():
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     ).stdout
     assert loaded == "[]\n"
+
+
+def test_product_expansion_independent_of_lr():
+    # The benchmark and the tests check lr against schur_product_expand,
+    # which shows something only while neither calls the other.
+    path = Path(kronstab.__file__).parent / "lr.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (expand,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "schur_product_expand"
+    ]
+    names = {node.id for node in ast.walk(expand) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(expand) if isinstance(node, ast.Attribute)}
+    assert names & {"lr", "_lr"} == set()
