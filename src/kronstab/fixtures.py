@@ -10,7 +10,7 @@ a known mismatch: the stored value disagrees with the formula
 implemented here, and the discrepancy is reported rather than hidden.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import Partition, format_triple
 from .bounds import FAMILIES, bound_values
@@ -19,15 +19,13 @@ from .stabilization import d_real
 Triple = tuple[Partition, Partition, Partition]
 
 
-@dataclass(frozen=True)
-class FixtureRow:
+class FixtureRow(NamedTuple):
     triple: Triple
     expected: tuple[int, ...]  # aligned with the table's columns
     known_mismatch: str | None = None  # column name
 
 
-@dataclass(frozen=True)
-class TableFixture:
+class TableFixture(NamedTuple):
     table_id: str
     family: str  # key of ``bounds.FAMILIES``
     columns: tuple[str, ...]

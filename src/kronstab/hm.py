@@ -17,7 +17,7 @@ the benchmark's call tracer (``perfbench/calltrace.py``) lists it among
 its sites.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import Partition
 
@@ -26,8 +26,7 @@ class ScenarioError(ValueError):
     """The scenario's constraints cannot be satisfied."""
 
 
-@dataclass(frozen=True)
-class ScenarioFactor:
+class ScenarioFactor(NamedTuple):
     coeffs: tuple[int, ...]  # objective coefficient at each flag position
     weights: tuple[int, ...]  # torus weights, one per flag position
     pinned: tuple[int, ...] = ()  # weights of the first positions

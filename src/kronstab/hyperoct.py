@@ -15,8 +15,10 @@ from math import comb
 
 # format_double_partition stays importable here, beside parse_double_partition.
 from .partitions import DoublePartition, Partition, PartitionError, SizeCapError, check_partition, contains, dim_sn, format_double_partition, format_triple, parse_partition, partitions_of, total_size
-from .kronecker import kron
-from .lr import lr
+# ``kron`` and ``lr`` stay names here: perfbench traces ``hyperoct.kron``
+# and ``hyperoct.lr``.
+from .kronecker import kron, kron_block
+from .lr import _lr, lr
 
 SIZE_CAP = 20
 
@@ -43,18 +45,13 @@ def dim_wreath(alpha: DoublePartition) -> int:
     return comb(total_size(alpha), sum(plus)) * dim_sn(plus) * dim_sn(minus)
 
 
-def _kron_block(d: Partition, xs, ys) -> dict:
-    """The nonzero ``kron(d, x, y)`` over x in ``xs`` and y in ``ys``, as
-    ``{x: {y: g}}``."""
-    return {x: {y: g for y in ys if (g := kron(d, x, y))} for x in xs}
-
-
 def _lr_block(lam: Partition, s: int) -> dict:
     """Degree ``s`` of the coproduct of the Schur function of ``lam``: the
     nonzero ``lr(x, y, lam)`` over x of size s and y of size ``|lam| - s``,
-    both inside ``lam``, as ``{x: {y: c}}`` with no empty rows."""
+    both inside ``lam``, as ``{x: {y: c}}`` with no empty rows.  The
+    shapes come from ``partitions_of``, so they go to the cache unchecked."""
     xs, ys = ([x for x in partitions_of(k) if contains(lam, x)] for k in (s, sum(lam) - s))
-    return {x: row for x in xs if (row := {y: c for y in ys if (c := lr(x, y, lam))})}
+    return {x: row for x in xs if (row := {y: c for y in ys if (c := _lr(x, y, lam))})}
 
 
 def _cols(block: dict) -> dict:
@@ -66,7 +63,7 @@ def _kron_blocks(ds, before: dict, after: dict) -> dict:
     from the columns of the LR block before it to the rows of the one
     after it, the only shapes a trace through it can use."""
     xs = _cols(before)
-    return {d: _kron_block(d, xs, after) for d in ds}
+    return {d: kron_block(d, xs, after) for d in ds}
 
 
 def _row_times(row: dict, block: dict) -> dict:

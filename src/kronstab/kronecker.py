@@ -1,10 +1,27 @@
 """Kronecker coefficients of the symmetric group, computed exactly."""
 
 from math import factorial
+from operator import mul
 
 # ConsistencyError and character are re-exported for existing importers.
-from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, format_triple, size_mismatch
+from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, format_partition, format_triple, size_mismatch
 from .characters import KRON_SIZE_CAP, character, column, size_column
+
+
+def _multiplicity(total: int, nfact: int, alpha, beta, gamma) -> int:
+    """The class sum ``total`` over ``nfact``, the factorial of the size:
+    the Kronecker coefficient of the triple, checked to be a nonnegative
+    integer."""
+    g, rem = divmod(total, nfact)
+    if rem:
+        raise ConsistencyError(
+            f"class sum {total} not divisible by {sum(alpha)}! for {alpha}, {beta}, {gamma}"
+        )
+    if g < 0:
+        raise ConsistencyError(
+            f"negative multiplicity {g} for {alpha}, {beta}, {gamma}"
+        )
+    return g
 
 
 def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
@@ -32,17 +49,43 @@ def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
         for size, a, b, c in zip(size_column(n), column(alpha), column(beta), column(gamma))
         if a and b and c
     )
+    return _multiplicity(total, factorial(n), alpha, beta, gamma)
+
+
+def kron_block(delta: Partition, xs, ys) -> dict[Partition, dict[Partition, int]]:
+    """The nonzero ``kron(delta, x, y)`` over x in ``xs`` and y in
+    ``ys``, as ``{x: {y: g}}`` with a row, possibly empty, for every x.
+
+    The class sizes are weighted by the character of ``delta`` once and
+    by that of each x once, so each entry is one dot product of the
+    weighted column with the character of y, checked as in ``kron``.
+    """
+    delta = check_partition(delta)
+    xs = [check_partition(x) for x in xs]
+    ys = [check_partition(y) for y in ys]
+    n = sum(delta)
+    for shape in xs + ys:
+        if sum(shape) != n:
+            raise ValueError(
+                f"size {sum(shape)} of {format_partition(shape)} differs from size {n}"
+                f" of {format_partition(delta)}; every shape of a block must have that size"
+            )
+    if n > KRON_SIZE_CAP:
+        raise SizeCapError(
+            f"size {n} of the block of {format_partition(delta)}"
+            f" exceeds the desk-scale limit of {KRON_SIZE_CAP}"
+        )
     nfact = factorial(n)
-    g, rem = divmod(total, nfact)
-    if rem:
-        raise ConsistencyError(
-            f"class sum {total} not divisible by {n}! for {alpha}, {beta}, {gamma}"
-        )
-    if g < 0:
-        raise ConsistencyError(
-            f"negative multiplicity {g} for {alpha}, {beta}, {gamma}"
-        )
-    return g
+    weighted = list(map(mul, size_column(n), column(delta)))
+    cols = [(y, column(y)) for y in ys]
+    block = {}
+    for x in xs:
+        wx = list(map(mul, weighted, column(x)))
+        row = block[x] = {}
+        for y, col in cols:
+            if g := _multiplicity(sum(map(mul, wx, col)), nfact, delta, x, y):
+                row[y] = g
+    return block
 
 
 def weak_stability_probe(

@@ -30,36 +30,47 @@ def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
         return 1
     # Cells are filled row by row, right to left within each row, so the
     # reading word grows one letter at a time and the lattice property
-    # can be enforced incrementally.
-    cells = [(r, c) for r in range(len(nu))
-             for c in range(nu[r] - 1, part_at(lam, r + 1) - 1, -1)]
-    nletters = len(mu)
-    counts = [0] * (nletters + 1)  # counts[v] = letters v placed so far
-    filling: dict[tuple[int, int], int] = {}
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        right = filling.get((r, c + 1))
-        above = filling.get((r - 1, c))
-        hi = right if right is not None else nletters
-        total = 0
-        for v in range(1, hi + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            if above is not None and v <= above:
-                continue
-            counts[v] += 1
-            filling[(r, c)] = v
-            total += place(idx + 1)
-            del filling[(r, c)]
+    # can be enforced incrementally.  The search backtracks along the
+    # cells with an index, not by recursion, so long shapes cannot
+    # exhaust the stack.
+    #
+    # Letters sit in a grid of rows of nu[0] + 1 slots, 0 where none is
+    # placed, below a blank row: the slot above a top cell reads 0 and
+    # the one right of a row's end reads len(mu), so no cell needs a
+    # bounds check.
+    width = nu[0] + 1
+    grid = [0] * (width * (len(nu) + 1))
+    for r, row in enumerate(nu, 1):
+        grid[r * width + row] = len(mu)
+    cells = [r * width + c for r in range(1, len(nu) + 1)
+             for c in range(nu[r - 1] - 1, part_at(lam, r) - 1, -1)]
+    caps = (0, *mu)  # caps[v] = mu_v, the letters v to place
+    # counts[v] = letters v placed so far; counts[0] = |mu| stays out of
+    # reach of the capped counts[1], so the lattice test never stops 1
+    counts = [sum(mu)] + [0] * len(mu)
+    total = i = 0
+    while i >= 0:
+        if i == len(cells):
+            total += 1
+            i -= 1
+            continue
+        pos = cells[i]
+        v = grid[pos]
+        if v:
             counts[v] -= 1
-        return total
-
-    return place(0)
+        # rows weakly increase to the right, columns strictly downward
+        v = max(v, grid[pos - width]) + 1
+        hi = grid[pos + 1]
+        while v <= hi and (counts[v] >= caps[v] or counts[v] >= counts[v - 1]):
+            v += 1
+        if v > hi:
+            grid[pos] = 0
+            i -= 1
+        else:
+            grid[pos] = v
+            counts[v] += 1
+            i += 1
+    return total
 
 
 lr.cache_info = _lr.cache_info

@@ -8,6 +8,7 @@ is well defined for every ``k >= 1``.
 from functools import cache
 from itertools import zip_longest
 from math import factorial
+from operator import ge
 
 
 class PartitionError(ValueError):
@@ -151,7 +152,7 @@ def part_at(lam: Partition, k: int) -> int:
 
 def contains(outer: Partition, inner: Partition) -> bool:
     """Whether the diagram of ``inner`` fits inside that of ``outer``."""
-    return all(part_at(outer, i) >= p for i, p in enumerate(inner, 1))
+    return len(inner) <= len(outer) and all(map(ge, outer, inner))
 
 
 def add_scaled(lam: Partition, d: int, pi: Partition) -> Partition:
@@ -168,9 +169,12 @@ def add_scaled(lam: Partition, d: int, pi: Partition) -> Partition:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
+    # the columns past lam_{r+1} up to lam_r (1-based) have length r
+    padded = (*lam, 0)
+    out: list[int] = []
+    for r in range(len(lam), 0, -1):
+        out += [r] * (padded[r - 1] - padded[r])
+    return tuple(out)
 
 
 @cache

@@ -14,9 +14,9 @@ multiplicity of the part j sits in a bit field of width ``BITS`` at bit
 compare as their partitions do lexicographically, largest part first.
 """
 
-from dataclasses import dataclass
 from math import factorial, gcd
 from operator import mul
+from typing import NamedTuple
 
 from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, format_triple, partitions_of
 # ``character`` stays a name here: perfbench traces ``plethysm.character``.
@@ -26,8 +26,7 @@ DEGREE_CAP = 24
 BITS = DEGREE_CAP.bit_length()
 
 
-@dataclass(frozen=True)
-class SymFunc:
+class SymFunc(NamedTuple):
     """A homogeneous symmetric function: a basis tag, a finite map from
     partitions to integer numerators (zeros omitted) and their common
     positive denominator, in lowest terms."""

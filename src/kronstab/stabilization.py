@@ -16,7 +16,7 @@ arithmetic fault and raises ``ConsistencyError``.  No such result is
 established for hyperoctahedral sequences, so they are not checked.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import (
     ConsistencyError,
@@ -33,8 +33,7 @@ class CertificateViolationError(RuntimeError):
     """The sequence moved beyond the certified bound."""
 
 
-@dataclass(frozen=True)
-class StabilizationResult:
+class StabilizationResult(NamedTuple):
     d_real: int
     limit: int
     sequence: tuple[int, ...]  # values for d = 0..horizon

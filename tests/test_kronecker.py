@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from kronstab.kronecker import KRON_SIZE_CAP, kron, weak_stability_probe
-from kronstab.partitions import SizeCapError, add_scaled, conjugate, dim_sn, partitions_of
+from kronstab import kronecker
+from kronstab.kronecker import KRON_SIZE_CAP, kron, kron_block, weak_stability_probe
+from kronstab.partitions import ConsistencyError, SizeCapError, add_scaled, conjugate, dim_sn, partitions_of
 
 
 def test_against_group_average_oracle():
@@ -89,3 +90,43 @@ def test_weak_stability_probe_rejects():
         weak_stability_probe((1,), (1,), (1,), 0)
     with pytest.raises(ValueError):
         weak_stability_probe((2,), (1,), (1,), 3)
+
+
+def test_block_equals_pointwise_kron():
+    for n in range(9):
+        ps = partitions_of(n)
+        for d in ps:
+            block = kron_block(d, ps, ps)
+            assert block == {x: {y: g for y in ps if (g := kron(d, x, y))} for x in ps}
+
+
+def test_block_stores_no_zeros_and_keeps_every_row():
+    ps = partitions_of(6)
+    block = kron_block((3, 3), ps, ps[::2])
+    assert list(block) == list(ps)
+    assert all(g > 0 for row in block.values() for g in row.values())
+    assert block[(1,) * 6] == {}  # (3,3) times the sign is (2,2,2), not listed
+    assert kron_block([2, 1], [[2, 1]], [[3]]) == {(2, 1): {(3,): 1}}
+
+
+def test_block_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        kron_block((2,), [(2,), (1,)], [(2,)])
+    with pytest.raises(ValueError):
+        kron_block((2,), [(2,)], [(1, 1), (3,)])
+    with pytest.raises(SizeCapError) as err:
+        kron_block((51,), [(51,)], [(50, 1)])
+    assert str(err.value) == "size 51 of the block of 51 exceeds the desk-scale limit of 50"
+
+
+@pytest.mark.parametrize("sizes, message", [
+    # true class sizes of 3 are (1, 3, 2), in class order 1^3, (2,1), (3)
+    ((2, 3, 2), "class sum 14 not divisible by 3! for (2, 1), (2, 1), (2, 1)"),
+    ((1, 3, 14), "negative multiplicity -1 for (2, 1), (2, 1), (2, 1)"),
+])
+def test_block_and_kron_share_exactness_checks(monkeypatch, sizes, message):
+    monkeypatch.setattr(kronecker, "size_column", lambda n: sizes)
+    for compute in (lambda: kron_block((2, 1), [(2, 1)], [(2, 1)]), lambda: kron((2, 1), (2, 1), (2, 1))):
+        with pytest.raises(ConsistencyError) as err:
+            compute()
+        assert str(err.value) == message

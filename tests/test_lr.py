@@ -1,4 +1,5 @@
 import itertools
+import sys
 from math import comb
 
 import pytest
@@ -98,6 +99,18 @@ def test_size_mismatch_is_zero():
 def test_containment_required():
     assert lr((2, 2), (1,), (4, 1)) == 0
     assert lr((3,), (2,), (2, 2, 1)) == 0
+
+
+def test_long_shapes_do_not_exhaust_the_stack():
+    # skew shapes with more cells than the recursion limit: a search that
+    # recursed once per cell would raise RecursionError
+    limit = sys.getrecursionlimit()
+    for k in (limit - 10, limit + 10, 3000):
+        assert lr((k,), (k,), (2 * k,)) == 1
+    for k in (limit - 10, limit + 10):
+        assert lr((1,) * k, (1,) * k, (2,) * k) == 1
+    assert lr((1200,), (1200,), (1200, 1200)) == 1
+    assert lr((1200,), (1200,), (2398, 1, 1)) == 0
 
 
 def test_list_input_equals_tuple_input():

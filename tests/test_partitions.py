@@ -62,6 +62,15 @@ def test_conjugate_involution(lam):
     assert sum(conjugate(lam)) == sum(lam)
 
 
+def test_conjugate_against_column_counts():
+    # the run-length construction against counting the rows longer than
+    # each column index
+    for n in range(21):
+        for lam in partitions_of(n):
+            expected = tuple(sum(1 for p in lam if p > i) for i in range(lam[0])) if lam else ()
+            assert conjugate(lam) == expected
+
+
 def test_part_at():
     assert part_at((3, 2), 1) == 3
     assert part_at((3, 2), 2) == 2

@@ -32,10 +32,12 @@ def test_exactness_errors_survive_optimisation():
 def test_import_loads_no_fractions():
     # Exact values are integers over one denominator; importing
     # ``fractions`` (and the ``decimal`` it pulls in) would only add to
-    # the start-up time of every process.
+    # the start-up time of every process.  The records are named tuples,
+    # so ``dataclasses`` (and the ``inspect`` it pulls in) stay out too.
     path = os.pathsep.join([str(Path(kronstab.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
+    unwanted = {"fractions", "decimal", "dataclasses", "inspect"}
     loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, kronstab; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        [sys.executable, "-c", f"import sys, kronstab; print(sorted({unwanted!r} & set(sys.modules)))"],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     ).stdout
     assert loaded == "[]\n"
