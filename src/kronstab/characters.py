@@ -19,14 +19,15 @@ part k is the signed sum of the columns, cut to that length, of the
 shapes left by removing each k-strip.  Strips are found once per shape
 and part, not once per class.  Columns are cached as
 ``_memo[n][mask]`` and extended block by block as far as a caller
-needs; ``kron`` and ``hyperoct`` reuse the full column of a shape
-across calls.
+needs; the strip loop reads a long enough column from the cache and
+recurses only to build or extend one.  ``kron`` and ``hyperoct`` reuse
+the full column of a shape across calls.
 """
 
 from collections import defaultdict
 from functools import cache
-from math import factorial
-from operator import add, sub
+from math import perm
+from operator import add, neg, sub
 
 from .partitions import Partition, SizeCapError, check_partition, format_partition
 
@@ -37,8 +38,8 @@ KRON_SIZE_CAP = 50
 # Character columns by degree (size of the shape), then shape mask, so
 # memory can be reclaimed degree by degree between large runs.
 _memo: dict[int, dict[int, list[int]]] = defaultdict(dict)
-# Centralizer orders z by degree, in class order, extended like columns.
-_z: dict[int, list[int]] = {}
+# Class sizes by degree, in class order, extended like columns.
+_size: dict[int, list[int]] = {}
 
 
 @cache
@@ -91,6 +92,7 @@ def _column(mask: int, n: int, k: int) -> list[int]:
         return col
     for part in _blocks(len(col), n, k):
         size = count(n - part, part)
+        below = _memo[n - part]
         block = None
         # Bits t with t + part set and t clear: the removable strips.
         free = (mask >> part) & ~mask
@@ -101,13 +103,17 @@ def _column(mask: int, n: int, k: int) -> list[int]:
             new = mask ^ top ^ low
             if low == 1:
                 new >>= (new ^ (new + 1)).bit_length() - 1
-            rest = _column(new, n - part, part)
+            rest = below.get(new)
+            if rest is None or len(rest) < size:
+                rest = _column(new, n - part, part)
             odd = (mask & (top - (low << 1))).bit_count() & 1
+            # One lazy chain per block: the first strip's prefix bounds
+            # it, and ``col +=`` builds the only list.
             if block is None:
-                block = [-v for v in rest[:size]] if odd else rest[:size]
+                block = map(neg, rest[:size]) if odd else rest[:size]
             else:
-                block = list(map(sub if odd else add, block, rest))
-        col += block or [0] * size
+                block = map(sub if odd else add, block, rest)
+        col += [0] * size if block is None else block
     return col
 
 
@@ -120,26 +126,26 @@ def column(lam: Partition, max_part: int | None = None) -> list[int]:
     return _column(beta_mask(lam), n, n if max_part is None else max_part)
 
 
-def _z_orders(n: int, k: int) -> list[int]:
-    """Centralizer orders of at least the first ``count(n, k)`` classes
-    of n.  The block of part j lists ``(j^m, tau)`` for m = 1, 2, ...,
-    with tau among the classes of n - m*j with parts below j, and
-    ``z(j^m, tau) = j^m m! z(tau)``."""
-    col = _z.setdefault(n, [1] if n == 0 else [])
+def _sizes(n: int, k: int) -> list[int]:
+    """Class sizes ``n!/z`` of at least the first ``count(n, k)``
+    classes of n.  The block of part j lists ``(j^m, tau)`` for
+    m = 1, 2, ..., with tau among the classes of n - m*j with parts
+    below j, and ``size(j^m, tau) = n!/((n-m*j)! j^m m!) * size(tau)``."""
+    col = _size.setdefault(n, [1] if n == 0 else [])
     for j in _blocks(len(col), n, k):
         f = 1
         for m in range(1, n // j + 1):
-            f *= j * m
-            rest = _z_orders(n - m * j, j - 1)
-            col += [f * z for z in rest[: count(n - m * j, j - 1)]]
+            # the ways to pick m disjoint j-cycles from n points
+            f = f * perm(n - (m - 1) * j, j) // (j * m)
+            rest = _sizes(n - m * j, j - 1)
+            col += [f * s for s in rest[: count(n - m * j, j - 1)]]
     return col
 
 
 @cache
 def size_column(n: int) -> tuple[int, ...]:
     """Size ``n!/z(rho)`` of each class of n, in class order."""
-    nfact = factorial(n)
-    return tuple(nfact // z for z in _z_orders(n, n))
+    return tuple(_sizes(n, n))
 
 
 def character(lam: Partition, rho: Partition) -> int:
@@ -168,8 +174,8 @@ def clear_character_cache(degree: int | None = None) -> None:
     memory."""
     if degree is None:
         _memo.clear()
-        _z.clear()
+        _size.clear()
     else:
         _memo.pop(degree, None)
-        _z.pop(degree, None)
+        _size.pop(degree, None)
     size_column.cache_clear()

@@ -45,7 +45,7 @@ def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
             f" exceeds the desk-scale limit of {KRON_SIZE_CAP}"
         )
     total = sum(
-        size * a * b * c
+        a * b * c * size
         for size, a, b, c in zip(size_column(n), column(alpha), column(beta), column(gamma))
         if a and b and c
     )

@@ -62,7 +62,9 @@ def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
         v = max(v, grid[pos - width]) + 1
         hi = grid[pos + 1]
         while v <= hi and (counts[v] >= caps[v] or counts[v] >= counts[v - 1]):
-            v += 1
+            # with no v - 1 placed yet, the lattice condition rules out
+            # v and every larger letter
+            v = v + 1 if counts[v - 1] else hi + 1
         if v > hi:
             grid[pos] = 0
             i -= 1

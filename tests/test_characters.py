@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from kronstab import characters
 from kronstab.characters import (
     KRON_SIZE_CAP,
     _memo,
+    _size,
     beta_mask,
     character,
     clear_character_cache,
@@ -114,15 +116,21 @@ def test_memo_keys_are_canonical():
 
 
 def test_clear_one_degree_keeps_the_other_columns():
+    # Columns and class sizes are cleared together, for every degree or
+    # for one.
+    triple = (4, 3, 2), (3, 3, 3), (5, 2, 1, 1)
     values = {rho: character((3, 2, 1), rho) for rho in partitions_of(6)}
+    kron(*triple)
     clear_character_cache()
-    assert not _memo
+    assert not _memo and not _size and not size_column.cache_info().currsize
     assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
-    character((2, 2), (2, 1, 1))
-    kept = {degree: {m: list(c) for m, c in table.items()} for degree, table in _memo.items() if degree != 4}
-    clear_character_cache(4)
-    assert 4 not in _memo
-    assert {degree: _memo[degree] for degree in kept} == kept
+    kron(*triple)
+    assert 5 in _memo and 5 in _size
+    kept = {degree: {m: list(c) for m, c in table.items()} for degree, table in _memo.items() if degree != 5}
+    kept_sizes = {degree: list(s) for degree, s in _size.items() if degree != 5}
+    clear_character_cache(5)
+    assert 5 not in _memo and 5 not in _size and not size_column.cache_info().currsize
+    assert _memo == kept and _size == kept_sizes
     assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
 
 
@@ -136,9 +144,15 @@ def test_rank_is_the_position_in_class_order():
 
 
 def test_size_column_is_n_factorial_over_z():
-    for n in range(26):
+    clear_character_cache()
+    for n in range(31):
         nfact = math.factorial(n)
         assert size_column(n) == tuple(nfact // z_order(rho) for rho in reversed(partitions_of(n))), n
+    # Sizes of smaller degrees are cached as prefixes, a whole number of
+    # blocks each, like the columns.
+    assert set(_size) == set(range(31))
+    for degree, sizes in _size.items():
+        assert len(sizes) in {count(degree, k) for k in range(degree + 1)}, degree
 
 
 def test_full_column_matches_character():
@@ -146,6 +160,50 @@ def test_full_column_matches_character():
         classes = list(reversed(partitions_of(n)))
         for lam in partitions_of(n):
             assert column(lam) == [character(lam, rho) for rho in classes], lam
+
+
+def test_columns_extended_one_part_at_a_time(monkeypatch):
+    # Every shape of n <= 14 asks for parts up to k = 1, 2, ..., n in
+    # turn, the shapes interleaved, so the strip loop finds sub-columns
+    # cached but shorter than a block and must extend them.  Each prefix
+    # must match a column built cold in one call.  (5,5,3,3,1,1) has
+    # five 2-strips of alternating sign, the first one odd.
+    by_degree = {n: partitions_of(n) for n in range(1, 15)}
+    by_degree[18] = [(5, 5, 3, 3, 1, 1)]
+    cold = {}
+    for shapes in by_degree.values():
+        for lam in shapes:
+            clear_character_cache()
+            cold[lam] = list(column(lam))
+    inner = characters._column
+    depth = short = 0
+
+    def spy(mask, n, k):
+        nonlocal depth, short
+        col = _memo[n].get(mask)
+        short += depth > 0 and col is not None and len(col) < count(n, k)
+        depth += 1
+        try:
+            return inner(mask, n, k)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(characters, "_column", spy)
+    for n, shapes in by_degree.items():
+        clear_character_cache()
+        for k in range(1, n + 1):
+            length = count(n, k)
+            for lam in shapes:
+                col = column(lam, k)
+                assert len(col) >= length and col[:length] == cold[lam][:length], (lam, k)
+    assert short > 0
+    lam = (5, 5, 3, 3, 1, 1)
+    assert cold[lam][0] == dim_sn(lam)
+    # orthogonal to itself with norm 18! and to the trivial character
+    sizes = size_column(18)
+    assert sum(size * v * v for size, v in zip(sizes, cold[lam])) == math.factorial(18)
+    assert sum(size * v for size, v in zip(sizes, cold[lam])) == 0
+    clear_character_cache()
 
 
 def test_cold_kron_at_size_48():
