@@ -5,15 +5,16 @@ is constant.  ``FAMILIES`` is the one place that records a family of
 sequences: the direction they grow along, its bounds in display order
 and the bound its certified index is read from.  Formula values are
 clamped at 0 since sequences are indexed by natural numbers.  Parts
-beyond a partition's length read as 0 throughout.
+beyond a partition's length read as 0 throughout.  Each public
+``bound_*`` validates its triple once through ``check_triple``: its
+parts, and sizes (total sizes) that agree.  Bounds built from others
+call their unchecked cores.
 """
 
 from itertools import permutations
 from typing import NamedTuple
 
-from .partitions import (
-    DoublePartition, Partition, check_partition, check_triple, format_triple, is_double, part_at,
-)
+from .partitions import DoublePartition, Partition, check_triple, format_triple, is_double, part_at
 
 
 class DegenerateTripleError(ValueError):
@@ -65,9 +66,13 @@ def bound_D1(
     ordering uses the arguments as given and raises
     ``DegenerateTripleError`` when they fail the length preconditions.
     """
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    lam, mu, nu = check_triple((lam, mu, nu), False)
     if not minimize_over_orderings:
         return _d1_fixed(lam, mu, nu)
+    return _d1(lam, mu, nu)
+
+
+def _d1(lam: Partition, mu: Partition, nu: Partition) -> int:
     return min(
         (_d1_fixed(a, b, c) for a, b, c in ((lam, mu, nu), (mu, nu, lam), (nu, lam, mu))
          if len(a) >= 2 and len(b) >= 2),
@@ -79,7 +84,7 @@ def bound_D2(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Bound for the squares family, with the branch structure on the
     lengths of the first two partitions (the formula is symmetric under
     swapping them, so a two-row second partition is swapped first)."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    lam, mu, nu = check_triple((lam, mu, nu), False)
     _check_two_rows(lam, mu, nu)
     if len(mu) == 2 < len(lam):
         lam, mu = mu, lam
@@ -98,7 +103,7 @@ def bound_DB(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Converted external bound for the murnaghan family, minimized over
     which partition plays the third role (the formula is symmetric in the
     other two)."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    lam, mu, nu = check_triple((lam, mu, nu), False)
 
     def fixed(a, b, c):
         return max(0, sum(b) - part_at(a, 1) - part_at(b, 1) + part_at(c, 2))
@@ -111,8 +116,10 @@ def bound_DB_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
     parts beyond position len(a)+len(b)-1 of the third partition are
     subtracted.  Minimized over the role choice; equals the unimproved
     bound when the third partition is short."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    return _db_improved(*check_triple((lam, mu, nu), False))
 
+
+def _db_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
     def fixed(a, b, c):
         n1, n2 = len(a), len(b)
         expr = -part_at(a, 1) + (sum(b) - part_at(b, 1)) + part_at(c, 2)
@@ -126,7 +133,10 @@ def bound_DB_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
 def bound_DBOR2(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Second converted external bound; fully symmetric in the triple
     because the three sizes agree."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    return _dbor2(*check_triple((lam, mu, nu), False))
+
+
+def _dbor2(lam: Partition, mu: Partition, nu: Partition) -> int:
     num = (
         sum(mu)
         + part_at(lam, 2) - part_at(lam, 1)
@@ -175,8 +185,11 @@ def bound_DBOR2_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Improved second converted bound: the refinement minimized over
     the admissible role assignments, never exceeding the unimproved
     bound (the subtracted tail contains at least one positive part)."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    best = bound_DBOR2(lam, mu, nu)
+    return _dbor2_improved(*check_triple((lam, mu, nu), False))
+
+
+def _dbor2_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
+    best = _dbor2(lam, mu, nu)
     for a, b, c in dbor2_improvement_orderings(lam, mu, nu):
         best = min(best, max(0, dbor2_improved_fixed(a, b, c)))
     return best
@@ -185,19 +198,14 @@ def bound_DBOR2_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
 def bound_Dm(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The best bound available for the murnaghan family: minimum of the
     reordered one-box bound and both improved converted bounds."""
-    return min(
-        bound_D1(lam, mu, nu),
-        bound_DB_improved(lam, mu, nu),
-        bound_DBOR2_improved(lam, mu, nu),
-    )
+    triple = check_triple((lam, mu, nu), False)
+    return min(_d1(*triple), _db_improved(*triple), _dbor2_improved(*triple))
 
 
 def bound_hyperoct(lam: DoublePartition, mu: DoublePartition, nu: DoublePartition) -> int:
     """Stabilization bound for hyperoctahedral tensor sequences grown by
     one box on every plus part's first row."""
-    (lp, lm), (mp, mm), (np_, nm) = (
-        (check_partition(plus), check_partition(minus)) for plus, minus in (lam, mu, nu)
-    )
+    (lp, lm), (mp, mm), (np_, nm) = check_triple((lam, mu, nu), True)
     a1, a2 = len(lp), len(lm)
     b1, b2 = len(mp), len(mm)
     if a1 < 2 or b1 < 2:

@@ -6,10 +6,12 @@ The tensor multiplicity is a convolution of Littlewood-Richardson (LR)
 and Kronecker coefficients over the four mixed blocks of the plus/minus
 splittings of the two factors.  Its eight factors link the shapes of a
 cycle, so each term is the trace of a product of eight sparse blocks,
-each built only over the shapes its neighbours on the cycle reach.
+each built only over the shapes its neighbours on the cycle reach.  The
+cycle is cut in two halves, each depending on two of the four shapes of
+a term and built once per pair of them.  Each LR block is read from
+cached whole rows of the coproduct, one tableau walk per row.
 """
 
-from functools import reduce
 from itertools import product
 from math import comb
 
@@ -18,7 +20,7 @@ from .partitions import DoublePartition, Partition, PartitionError, SizeCapError
 # ``kron`` and ``lr`` stay names here: perfbench traces ``hyperoct.kron``
 # and ``hyperoct.lr``.
 from .kronecker import kron, kron_block
-from .lr import _lr, lr
+from .lr import _skew, lr
 
 SIZE_CAP = 20
 
@@ -40,18 +42,19 @@ def parse_double_partition(text: str) -> DoublePartition:
 def dim_wreath(alpha: DoublePartition) -> int:
     """Dimension of the wreath-product irreducible indexed by ``alpha``:
     choose which copies carry the sign of the order-2 factor, times the
-    two symmetric group dimensions."""
-    plus, minus = alpha
-    return comb(total_size(alpha), sum(plus)) * dim_sn(plus) * dim_sn(minus)
+    two symmetric group dimensions.  Both halves are validated, as
+    lists or tuples."""
+    plus, minus = map(check_partition, alpha)
+    return comb(sum(plus) + sum(minus), sum(plus)) * dim_sn(plus) * dim_sn(minus)
 
 
 def _lr_block(lam: Partition, s: int) -> dict:
-    """Degree ``s`` of the coproduct of the Schur function of ``lam``: the
-    nonzero ``lr(x, y, lam)`` over x of size s and y of size ``|lam| - s``,
-    both inside ``lam``, as ``{x: {y: c}}`` with no empty rows.  The
-    shapes come from ``partitions_of``, so they go to the cache unchecked."""
-    xs, ys = ([x for x in partitions_of(k) if contains(lam, x)] for k in (s, sum(lam) - s))
-    return {x: row for x in xs if (row := {y: c for y in ys if (c := _lr(x, y, lam))})}
+    """Degree ``s`` of the coproduct of the Schur function of ``lam``:
+    the nonzero ``lr(x, y, lam)`` over x of size s and y of size
+    ``|lam| - s``, as ``{x: {y: c}}``, one row per x inside ``lam``.
+    Each row is the cached walk over the LR tableaux of lam/x, shared
+    with every block that uses it, so it is only read."""
+    return {x: _skew(x, lam) for x in partitions_of(s) if contains(lam, x)}
 
 
 def _cols(block: dict) -> dict:
@@ -74,10 +77,21 @@ def _row_times(row: dict, block: dict) -> dict:
     return out
 
 
-def _trace(*blocks: dict) -> int:
-    """Trace of the product of blocks, one row of the first at a time."""
-    first, *rest = blocks
-    return sum(reduce(_row_times, rest, row).get(x, 0) for x, row in first.items())
+def _product(first: dict, second: dict) -> dict:
+    return {x: _row_times(row, second) for x, row in first.items()}
+
+
+def _half(gs: dict, lr1: dict, hs: dict, lr2: dict) -> dict:
+    """Half the cycle, G(d)·L1·G(e)·L2 for every pair (d, e) of shapes
+    of the Kronecker blocks ``gs`` and ``hs``, each product G·L once."""
+    firsts = [(d, _product(g, lr1)) for d, g in gs.items()]
+    seconds = [(e, _product(h, lr2)) for e, h in hs.items()]
+    return {(d, e): _product(f, s) for (d, f), (e, s) in product(firsts, seconds)}
+
+
+def _trace(first: dict, second: dict) -> int:
+    """Trace of the product of two blocks."""
+    return sum(v * second[c].get(a, 0) for a, row in first.items() for c, v in row.items())
 
 
 def _entries(block: dict) -> list:
@@ -121,8 +135,12 @@ def hyperoct_coeff(
     g4 = _kron_blocks(_cols(lr_gm), lr_bp, lr_am)
     g2 = _kron_blocks(_cols(lr_gp), lr_am, lr_bm)
     g3 = _kron_blocks(lr_gm, lr_bm, lr_ap)
+    # The cycle cut at a and c: the half from a to c depends on (d1, d4)
+    # only, the half back on (d2, d3) only, so each is built once and
+    # the trace of their product is a sum over the entries of the first.
+    half1, half2 = _half(g1, lr_bp, g4, lr_am), _half(g2, lr_bm, g3, lr_ap)
     plus, minus = _entries(lr_gp), _entries(lr_gm)
     return sum(
-        c12 * c34 * _trace(g1[d1], lr_bp, g4[d4], lr_am, g2[d2], lr_bm, g3[d3], lr_ap)
+        c12 * c34 * _trace(half1[d1, d4], half2[d2, d3])
         for (d1, d2, c12), (d3, d4, c34) in product(plus, minus)
     )

@@ -1,6 +1,8 @@
-"""Littlewood-Richardson coefficients: one coefficient by lattice-word
-tableau counting, a whole Schur product by a dynamic program over
-horizontal strips.  The two share no code, so each checks the other."""
+"""Littlewood-Richardson coefficients: one walk over the LR tableaux of a
+skew shape nu/lam, which counts one coefficient when given a content or
+else the whole coproduct row {mu: c^nu_{lam mu}}, and a whole Schur
+product by a dynamic program over horizontal strips.  The two share no
+code, so each checks the other."""
 
 from functools import cache
 
@@ -26,32 +28,62 @@ def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
         return 0
     if not contains(nu, lam) or not contains(nu, mu):
         return 0
-    if not mu:
-        return 1
+    # every filling the walk finds has content mu
+    return sum(_tableaux(lam, nu, mu).values())
+
+
+lr.cache_info = _lr.cache_info
+
+
+@cache
+def _skew(lam: Partition, nu: Partition) -> dict[Partition, int]:
+    """The Schur expansion of the skew Schur function of nu/lam, the row
+    ``{mu: lr(lam, mu, nu)}`` of the coproduct of that of ``nu``, from
+    one walk; empty unless ``lam`` fits inside ``nu``.  The cached dict
+    is shared, so callers must not change it."""
+    if not contains(nu, lam):
+        return {}
+    # a content is a partition: its letters in use come first
+    return {key[1:key.index(0, 1)]: k for key, k in _tableaux(lam, nu).items()}
+
+
+def _tableaux(lam: Partition, nu: Partition, mu: Partition | None = None) -> dict[tuple, int]:
+    """Count the LR tableaux of the skew shape nu/lam, with ``lam``
+    inside ``nu``, by their content: semistandard fillings whose reverse
+    reading word is a lattice word.  Given ``mu`` of size |nu| - |lam|,
+    only fillings of content ``mu`` are searched.  A content is keyed by
+    its letter counts (|nu| - |lam|, c_1, ..., c_k, 0), k the length of
+    ``mu``, or of ``nu`` without one."""
     # Cells are filled row by row, right to left within each row, so the
     # reading word grows one letter at a time and the lattice property
     # can be enforced incrementally.  The search backtracks along the
     # cells with an index, not by recursion, so long shapes cannot
     # exhaust the stack.
     #
-    # Letters sit in a grid of rows of nu[0] + 1 slots, 0 where none is
+    # Letters sit in a grid of rows of nu_1 + 1 slots, 0 where none is
     # placed, below a blank row: the slot above a top cell reads 0 and
-    # the one right of a row's end reads len(mu), so no cell needs a
-    # bounds check.
-    width = nu[0] + 1
+    # the one right of a row's end reads the largest letter, so no cell
+    # needs a bounds check.
+    letters = len(nu) if mu is None else len(mu)
+    size = sum(nu) - sum(lam)
+    width = nu[0] + 1 if nu else 1
     grid = [0] * (width * (len(nu) + 1))
     for r, row in enumerate(nu, 1):
-        grid[r * width + row] = len(mu)
+        grid[r * width + row] = letters
     cells = [r * width + c for r in range(1, len(nu) + 1)
              for c in range(nu[r - 1] - 1, part_at(lam, r) - 1, -1)]
-    caps = (0, *mu)  # caps[v] = mu_v, the letters v to place
-    # counts[v] = letters v placed so far; counts[0] = |mu| stays out of
-    # reach of the capped counts[1], so the lattice test never stops 1
-    counts = [sum(mu)] + [0] * len(mu)
-    total = i = 0
+    # caps[v] = the letters v to place, any number without a content
+    caps = (0, *mu) if mu is not None else (0,) + (size,) * letters
+    # counts[v] = letters v placed so far; counts[0] = size stays out of
+    # reach of counts[1], so the lattice test never stops 1, and the
+    # count past the last letter stays 0 and ends the content's key
+    counts = [size] + [0] * letters + [0]
+    found: dict[tuple, int] = {}
+    i = 0
     while i >= 0:
         if i == len(cells):
-            total += 1
+            key = tuple(counts)
+            found[key] = found.get(key, 0) + 1
             i -= 1
             continue
         pos = cells[i]
@@ -72,10 +104,7 @@ def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
             grid[pos] = v
             counts[v] += 1
             i += 1
-    return total
-
-
-lr.cache_info = _lr.cache_info
+    return found
 
 
 def schur_product_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:

@@ -135,9 +135,10 @@ def check_triple(triple, double: bool, what: str = "") -> tuple:
     (total sizes) agree; a size error names the triple after ``what``."""
     if double:
         triple = tuple((check_partition(p), check_partition(m)) for p, m in triple)
+        sizes = list(map(total_size, triple))
     else:
         triple = tuple(map(check_partition, triple))
-    sizes = [total_size(a) if double else sum(a) for a in triple]
+        sizes = list(map(sum, triple))
     if len(set(sizes)) > 1:
         raise size_mismatch(sizes, what + format_triple(triple))
     return triple
@@ -194,10 +195,16 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-@cache
 def dim_sn(lam: Partition) -> int:
     """Dimension of the symmetric group irreducible of shape ``lam``
-    (the number of standard tableaux), by the hook length formula."""
+    (the number of standard tableaux), by the hook length formula.
+    ``lam`` is validated before the cache sees it, so a list works as
+    well as a tuple."""
+    return _dim_sn(check_partition(lam))
+
+
+@cache
+def _dim_sn(lam: Partition) -> int:
     n = sum(lam)
     if n == 0:
         return 1
@@ -219,8 +226,9 @@ def dim_gl(lam: Partition, m: int) -> int:
     numerators ``lam_i - lam_j + j - i`` and of the denominators
     ``j - i`` over ``i < j <= m``, then one exact division.  Factors with
     ``i > len(lam)`` equal 1 and are skipped.  Zero when ``lam`` has more
-    than ``m`` rows.
+    than ``m`` rows.  ``lam`` is validated first, as a list or a tuple.
     """
+    lam = check_partition(lam)
     if m < 0:
         raise ValueError("m must be nonnegative")
     if len(lam) > m:

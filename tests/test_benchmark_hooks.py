@@ -59,13 +59,15 @@ def test_lr_queries_pass(tracer):
     assert tracer.stats["lr.schur_product_expand"][0] == 120
 
 
-def test_hyperoct_reference_queries():
-    # Every stored value came from the engine the block contraction
-    # replaced, at total sizes 10-14.
+def test_hyperoct_reference_queries(tracer):
+    # The workload's own output check on all 32 stored queries, through
+    # the traced name.  Every stored value came from the engine the block
+    # contraction replaced, at total sizes 10-14.
     queries = workloads.hyperoct_inputs(0, workloads.load_reference())
-    assert len(queries) == 32
+    assert len(queries) == len(workloads.load_reference()["hyperoct"]) == 32
     for q in queries:
         assert worker.query_hyperoct(worker.as_tuple(q["args"]), q["expect"]), q
+    assert tracer.stats["hyperoct.hyperoct_coeff"][0] == 32
 
 
 def test_table_output_checks(tracer):

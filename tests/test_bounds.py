@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from kronstab import bounds
 from kronstab.bounds import (
     FAMILIES,
     DegenerateTripleError,
@@ -96,7 +97,29 @@ def test_degenerate_triples():
     with pytest.raises(DegenerateTripleError):
         bound_D2((3,), (2, 1), (2, 1))
     with pytest.raises(DegenerateTripleError):
-        bound_hyperoct(((3,), (1,)), ((2, 2), (1,)), ((2, 1, 1), (2, 1, 1)))
+        bound_hyperoct(((3,), (1, 1)), ((2, 2), (1,)), ((2, 1, 1), (1,)))
+
+
+def test_every_bound_rejects_unequal_sizes():
+    # Each public bound validates its triple as bound_values does, so a
+    # triple of unequal sizes gets the same error, not a number.
+    cases = [
+        ("murnaghan", ((3, 1), (2, 2), (9,))),
+        ("murnaghan", ((2, 1), (2, 1), (2,))),
+        ("squares", ((2, 1), (2, 1), (5,))),
+        ("hyperoct", (((3, 1), (1,)), ((2, 2), (1,)), ((2, 1, 1), (2, 1, 1)))),
+    ]
+    for family, triple in cases:
+        with pytest.raises(ValueError) as expected:
+            bound_values(family, *triple)
+        assert "differ; all three partitions must have the same size" in str(expected.value)
+        calls = [getattr(bounds, fn) for fn in FAMILIES[family].bounds.values()]
+        if family == "murnaghan":
+            calls.append(lambda *t: bound_D1(*t, minimize_over_orderings=False))
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call(*triple)
+            assert str(err.value) == str(expected.value)
 
 
 def test_hyperoct_bound_validates_halves():
@@ -104,7 +127,7 @@ def test_hyperoct_bound_validates_halves():
         bound_hyperoct(((1, 2), (1,)), ((2, 1), ()), ((2, 1), (1,)))
     with pytest.raises(PartitionError):
         bound_hyperoct(((2, 1), (0,)), ((2, 1), ()), ((2, 1), (1,)))
-    triple = (((3, 1), (1,)), ((2, 2), (1,)), ((2, 1, 1), (2, 1, 1)))
+    triple = (((3, 1), (1,)), ((2, 2), (1,)), ((2, 1), (1, 1)))
     as_lists = [[list(plus), list(minus)] for plus, minus in triple]
     assert bound_hyperoct(*as_lists) == bound_hyperoct(*triple)
 

@@ -147,9 +147,9 @@ def test_refined_scenario_needs_three_rows():
 
 def test_hyperoct_scenario_matches_closed_form():
     cases = [
-        (((3, 1), (1,)), ((2, 2), (1,)), ((2, 1, 1), (2, 1, 1))),
+        (((3, 2), (1,)), ((2, 2), (2,)), ((1, 1, 1), (1, 1, 1))),
         (((2, 2), ()), ((3, 1), ()), ((2, 1, 1), ())),
-        (((4, 2), (2, 1)), ((3, 3), (2, 1)), ((3, 2, 1), (2, 1, 1, 1, 1))),
+        (((4, 2), (2, 1)), ((3, 3), (2, 1)), ((2, 1, 1), (1, 1, 1, 1, 1))),
     ]
     for lam, mu, nu in cases:
         factors, base = tau0_hyperoct(lam, mu, nu)

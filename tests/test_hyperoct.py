@@ -4,6 +4,7 @@ import pytest
 
 from kronstab.hyperoct import (
     SizeCapError,
+    _lr_block,
     dim_wreath,
     format_double_partition,
     hyperoct_coeff,
@@ -11,6 +12,7 @@ from kronstab.hyperoct import (
     total_size,
 )
 from kronstab.kronecker import kron
+from kronstab.lr import _skew, schur_product_expand
 from kronstab.partitions import PartitionError, partitions_of
 
 from oracles import wreath_character, wreath_tensor_oracle
@@ -44,6 +46,13 @@ def test_dimension_at_identity():
         ident = (tuple([0] * n), tuple(range(n)))
         for dp in double_partitions(n):
             assert wreath_character(dp, n)[ident] == dim_wreath(dp)
+
+
+def test_dimension_validates_both_halves():
+    assert dim_wreath(([2, 1], [1])) == dim_wreath(((2, 1), (1,))) == 8
+    for bad in (((1, 2), ()), ((2,), (0,))):
+        with pytest.raises(PartitionError):
+            dim_wreath(bad)
 
 
 def test_against_explicit_group_oracle():
@@ -116,3 +125,53 @@ def test_size_18_query():
 
 def test_size_mismatch_is_zero():
     assert hyperoct_coeff(((2,), ()), ((1,), ()), ((1,), (1,))) == 0
+
+
+def test_lr_blocks_match_product_expansion():
+    # Each row comes from one walk over the LR tableaux of lam/x; the
+    # product expansion shares no code with it.  Every lam of size at
+    # most 9, every degree s.
+    for n in range(10):
+        expected = {lam: [{} for _ in range(n + 1)] for lam in partitions_of(n)}
+        for s in range(n + 1):
+            for x in partitions_of(s):
+                for y in partitions_of(n - s):
+                    for lam, c in schur_product_expand(x, y).items():
+                        expected[lam][s].setdefault(x, {})[y] = c
+        for lam, blocks in expected.items():
+            for s, block in enumerate(blocks):
+                assert _lr_block(lam, s) == block, (lam, s)
+
+
+def test_lr_block_rows_are_shared_and_left_unchanged():
+    # This query reads the blocks of degree 2 of (3,2,1) and of degree 4
+    # of (4,1,1), among others.
+    a, b, c = ((3, 2, 1), (2, 1, 1)), ((6,), (1, 1, 1, 1)), ((4, 1, 1), (4,))
+    used = (((3, 2, 1), 2), ((4, 1, 1), 4))
+    before = {key: {x: dict(row) for x, row in _lr_block(*key).items()} for key in used}
+    assert hyperoct_coeff(a, b, c) == 2
+    for (lam, s), block in before.items():
+        rows = _lr_block(lam, s)
+        assert all(rows[x] is _skew(x, lam) for x in rows)
+        assert rows == block
+
+
+@pytest.mark.parametrize("triple, expected", [
+    ("4,2,2,1;2^3,1 / 6,1^4;2^3 / 7,7,1;1", 48),
+    ("7,2,2;3,2 / 2^4;6,2 / 3,2^3;4,2,1", 2228),
+    ("3,3,2,1,1;2^3 / 4,2,1;6,1^3 / 4,2,1;4,2,2,1", 53209),
+    ("5,3,3;3,3 / 3,2,2,1^4;3,1^3 / 2,2,1^7;4,2", 1104),
+    ("8,2,2;2,2,1 / 4,1,1;3,2^4 / 11;3,2,1", 11),
+    ("2,1^4;7,4,1 / 3,1^3;7,4,1 / 5,3,2,1,1;3,1^3", 101286),
+    ("4,3,3,1,1;4,2 / 4,2,2;3,3,1^4 / 3,3,1,1;9,1", 13039),
+    ("5,4,2,2,1^5;- / 2;7,7,1,1 / 2;4^3,2,2", 507),
+    ("3^3,1,1;4,1^4 / 1;3^3,2,2,1^5 / 6,3;2^5", 92),
+    ("2,2,1^7;4,4 / 5,2,1,1;2,2,1^6 / 2^5,1;3,3,2", 524),
+    ("8,3,2,2;2,2,1 / 6,1,1;5,3,3,1 / 1^5;6,5,1^4", 43522),
+    ("7,2^3,1;4,1,1 / 2,1^3;7,4,2,2 / 1;5,4,1^10", 3462),
+])
+def test_pinned_values_at_sizes_16_to_20(triple, expected):
+    # Two or three triples of each total size 16-20, in that order; the
+    # values are those of the engine that traced all eight blocks around
+    # the cycle for every term.
+    assert hyperoct_coeff(*map(parse_double_partition, triple.split("/"))) == expected

@@ -4,6 +4,7 @@ import pytest
 
 from kronstab import kronecker
 from kronstab.kronecker import KRON_SIZE_CAP, kron, kron_block, weak_stability_probe
+from kronstab.lr import lr
 from kronstab.partitions import ConsistencyError, SizeCapError, add_scaled, conjugate, dim_sn, partitions_of
 
 
@@ -76,6 +77,40 @@ def test_table_row_grown_beyond_oracle_range():
     # what the group-average oracle can check.
     row = ((5, 5, 4, 4), (6, 6, 6), (3, 3, 2, 2, 2, 2, 1, 1, 1, 1))
     assert kron(*(add_scaled(lam, 12, (1,)) for lam in row)) == 318
+
+
+def _grown(lam, n):
+    """(n - |lam|, lam): ``lam`` below a first row grown to size n."""
+    return (n - sum(lam), *lam)
+
+
+def _stable_n(a, b, c):
+    # Briand-Orellana-Rosas (J. Algebra 2011) show the whole product of
+    # the Schur functions of a[n] and b[n] stable from
+    # n = |a| + |b| + a_1 + b_1 on, and Brion (1993) one coefficient from
+    # n = |b| + |c| + a_1 on, in any role.  With |c| = |a| + |b| both lie
+    # at or below this n, which also leaves c[n] a partition.
+    return max(1, sum(a) + sum(b) + sum(c) + max(a[:1] + b[:1] + c[:1], default=0))
+
+
+def test_reduced_limit_is_lr_when_sizes_add_up():
+    # g(a[n], b[n], c[n]) = c^c_{ab} at a stable n when |c| = |a| + |b|
+    # (Murnaghan; Littlewood 1958), against lr, which shares no code with
+    # the character recursion: every a, b of size at most 4 (1 616
+    # triples, n at most 24).
+    small = [lam for k in range(5) for lam in partitions_of(k)]
+    for a, b in itertools.product(small, repeat=2):
+        for c in partitions_of(sum(a) + sum(b)):
+            n = _stable_n(a, b, c)
+            assert kron(_grown(a, n), _grown(b, n), _grown(c, n)) == lr(a, b, c), (a, b, c)
+
+
+@pytest.mark.parametrize("c, expected", [((6, 4, 3, 2, 1), 4), ((6, 5, 3, 2), 3), ((7, 5, 3, 1), 2)])
+def test_reduced_limit_is_lr_at_size_40(c, expected):
+    # c_1 is at most a_1 + b_1 = 7, so n = 40 is past _stable_n (at most 39).
+    a, b = (4, 3, 1), (3, 3, 2)
+    assert _stable_n(a, b, c) <= 40
+    assert kron(_grown(a, 40), _grown(b, 40), _grown(c, 40)) == lr(a, b, c) == expected
 
 
 def test_weak_stability_probe_examples():

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from kronstab.lr import lr, schur_product_expand
+from kronstab.lr import _skew, lr, schur_product_expand
 from kronstab.partitions import PartitionError, dim_gl, dim_sn, partitions_of
 
 from oracles import is_horizontal_strip, lr_oracle
@@ -121,6 +121,29 @@ def test_long_column_times_long_column():
     k = 3000
     assert lr((1,) * k, (1,) * k, (2,) * k) == 1
     assert lr((1,) * k, (1,) * k, (2,) * (k - 1) + (1, 1)) == 1
+
+
+def test_skew_rows_against_pointwise_lr():
+    # The walk without a content counts every LR tableau of nu/lam by its
+    # content: the row {mu: lr(lam, mu, nu)}, empty unless lam fits.
+    for n in range(8):
+        for nu in partitions_of(n):
+            assert _skew((), nu) == {nu: 1}
+            for s in range(n + 1):
+                for lam in partitions_of(s):
+                    expected = {mu: c for mu in partitions_of(n - s) if (c := lr(lam, mu, nu))}
+                    assert _skew(lam, nu) == expected
+    assert _skew((2, 2), (3, 1)) == {}
+    assert _skew((3, 3), (4, 3, 2)) == {(3,): 1, (2, 1): 1}  # s_1 s_2
+
+
+def test_skew_rows_of_long_shapes():
+    # as for lr: no recursion per cell, and no letter scan past a missing
+    # smaller letter
+    k = 3000
+    assert _skew((1,) * k, (2,) * k) == {(1,) * k: 1}
+    assert _skew((k,), (2 * k,)) == {(k,): 1}
+    assert _skew((k,), (k, k)) == {(k,): 1}
 
 
 def test_list_input_equals_tuple_input():

@@ -115,6 +115,18 @@ def test_dim_gl_against_tableau_count():
                 assert dim_gl(lam, n) == len(ssyt_weights(lam, n))
 
 
+def test_dimensions_validate_their_shape():
+    # Validated before the cache: a list works, and a non-partition is a
+    # PartitionError, not a failed exactness check or a silent 0.
+    assert dim_sn([3, 1]) == dim_sn((3, 1)) == 3
+    assert dim_gl([2, 1], 3) == dim_gl((2, 1), 3) == 8
+    for bad in ((1, 2), (2, 0), (2, -1)):
+        with pytest.raises(PartitionError):
+            dim_sn(bad)
+        with pytest.raises(PartitionError):
+            dim_gl(bad, 3)
+
+
 def test_z_order_class_sizes():
     for n in range(1, 9):
         total = sum(math.factorial(n) // z_order(rho) for rho in partitions_of(n))

@@ -54,4 +54,4 @@ def test_product_expansion_independent_of_lr():
     ]
     names = {node.id for node in ast.walk(expand) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(expand) if isinstance(node, ast.Attribute)}
-    assert names & {"lr", "_lr"} == set()
+    assert names & {"lr", "_lr", "_skew", "_tableaux"} == set()
