@@ -5,7 +5,8 @@ is constant.  ``FAMILIES`` is the one place that records a family of
 sequences: the direction they grow along, its bounds in display order
 and the bound its certified index is read from.  Formula values are
 clamped at 0 since sequences are indexed by natural numbers.  Parts
-beyond a partition's length read as 0 throughout.  Each public
+beyond a partition's length read as 0 throughout; runs of parts are
+summed as tuple slices, which read past the end as empty.  Each public
 ``bound_*`` validates its triple once through ``check_triple``: its
 parts, and sizes (total sizes) that agree.  Bounds built from others
 call their unchecked cores.
@@ -39,10 +40,10 @@ def _one_box_tail(nu: Partition, side: int, P: int) -> int:
     weight 0, whose weights (2, 1^side, 0, ..., (-1)^side, -2) are the
     pairwise sums of two (1, -1, 0, ...) spaces of lengths adding up to
     side + 4."""
-    expr = 2 * (part_at(nu, 2) - part_at(nu, P))
-    for k in range(1, side + 1):
-        expr += part_at(nu, k + 2) - part_at(nu, P - k)
-    return expr
+    return (
+        2 * (sum(nu[1:2]) - sum(nu[P - 1:P]))
+        + sum(nu[2:side + 2]) - sum(nu[P - side - 1:P - 1])
+    )
 
 
 def _d1_fixed(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -93,9 +94,7 @@ def bound_D2(lam: Partition, mu: Partition, nu: Partition) -> int:
     if n1 >= 3:
         expr = m + part_at(lam, 3) + part_at(mu, 3) + _one_box_tail(nu, n1 + n2 - 4, n1 * n2)
     else:
-        expr = m + part_at(mu, 3) + 2 * part_at(nu, 2) - part_at(nu, 2 * n2)
-        for k in range(1, n2):
-            expr += part_at(nu, k + 2)
+        expr = m + part_at(mu, 3) + 2 * part_at(nu, 2) - part_at(nu, 2 * n2) + sum(nu[2:n2 + 1])
     return max(0, _ceil_half(expr))
 
 
@@ -122,10 +121,8 @@ def bound_DB_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
 def _db_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
     def fixed(a, b, c):
         n1, n2 = len(a), len(b)
-        expr = -part_at(a, 1) + (sum(b) - part_at(b, 1)) + part_at(c, 2)
-        for k in range(max(n1 + n2, 1), n1 * n2 + 1):
-            expr -= part_at(c, k)
-        return max(0, expr)
+        tail = sum(c[max(n1 + n2, 1) - 1:n1 * n2])
+        return max(0, -part_at(a, 1) + (sum(b) - part_at(b, 1)) + part_at(c, 2) - tail)
 
     return min(fixed(lam, mu, nu), fixed(mu, nu, lam), fixed(nu, lam, mu))
 
@@ -157,12 +154,10 @@ def dbor2_improved_fixed(lam: Partition, mu: Partition, nu: Partition) -> int:
         -part_at(lam, 1) + part_at(lam, 2)
         + 2 * part_at(mu, 2) + sum(mu) - part_at(mu, 1) - part_at(mu, 2)
         - part_at(nu, 1) + part_at(nu, 2)
+        - sum(nu[n1 + n2 - 2:P - n1 - n2 + 2])
+        - 2 * sum(nu[P - n1 - n2 + 2:P - 1])
+        - 3 * sum(nu[P - 1:P])
     )
-    for q in range(n1 + n2 - 1, P - n1 - n2 + 3):
-        expr -= part_at(nu, q)
-    for q in range(P - n1 - n2 + 3, P):
-        expr -= 2 * part_at(nu, q)
-    expr -= 3 * part_at(nu, P)
     return _ceil_half(expr)
 
 
@@ -216,9 +211,8 @@ def bound_hyperoct(lam: DoublePartition, mu: DoublePartition, nu: DoublePartitio
     expr = (
         -part_at(lp, 1) + part_at(lp, 2) - part_at(mp, 1) + part_at(mp, 2)
         + _one_box_tail(np_, a1 + b1 - 4, m)
+        + sum(nm[:a2 + b2]) - sum(nm[n - a2 - b2:n])
     )
-    for k in range(1, a2 + b2 + 1):
-        expr += part_at(nm, k) - part_at(nm, n - k + 1)
     return max(0, _ceil_half(expr))
 
 

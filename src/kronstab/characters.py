@@ -167,15 +167,3 @@ def character(lam: Partition, rho: Partition) -> int:
         )
     return column(lam, rho[0] if rho else 0)[rank(rho)]
 
-
-def clear_character_cache(degree: int | None = None) -> None:
-    """Drop cached columns and class sizes, either for one degree or for
-    all of them.  Useful between unrelated large computations to bound
-    memory."""
-    if degree is None:
-        _memo.clear()
-        _size.clear()
-    else:
-        _memo.pop(degree, None)
-        _size.pop(degree, None)
-    size_column.cache_clear()

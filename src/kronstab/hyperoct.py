@@ -9,7 +9,9 @@ cycle, so each term is the trace of a product of eight sparse blocks,
 each built only over the shapes its neighbours on the cycle reach.  The
 cycle is cut in two halves, each depending on two of the four shapes of
 a term and built once per pair of them.  Each LR block is read from
-cached whole rows of the coproduct, one tableau walk per row.
+cached whole rows of the coproduct, one tableau walk per row.  The
+Kronecker blocks are built unchecked, each entry read from the cache of
+Kronecker values shared by every block and computed only when missing.
 """
 
 from itertools import product
@@ -19,7 +21,7 @@ from math import comb
 from .partitions import DoublePartition, Partition, PartitionError, SizeCapError, check_partition, contains, dim_sn, format_double_partition, format_triple, parse_partition, partitions_of, total_size
 # ``kron`` and ``lr`` stay names here: perfbench traces ``hyperoct.kron``
 # and ``hyperoct.lr``.
-from .kronecker import kron, kron_block
+from .kronecker import kron, kron_block_unchecked
 from .lr import _skew, lr
 
 SIZE_CAP = 20
@@ -64,9 +66,10 @@ def _cols(block: dict) -> dict:
 def _kron_blocks(ds, before: dict, after: dict) -> dict:
     """The Kronecker blocks of the shapes ``ds`` at one cycle position:
     from the columns of the LR block before it to the rows of the one
-    after it, the only shapes a trace through it can use."""
+    after it, the only shapes a trace through it can use.  The shapes
+    are the library's own, so they are not checked again."""
     xs = _cols(before)
-    return {d: kron_block(d, xs, after) for d in ds}
+    return {d: kron_block_unchecked(d, xs, after) for d in ds}
 
 
 def _row_times(row: dict, block: dict) -> dict:

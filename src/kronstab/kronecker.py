@@ -1,11 +1,21 @@
-"""Kronecker coefficients of the symmetric group, computed exactly."""
+"""Kronecker coefficients of the symmetric group, computed exactly.
 
+The entries of Kronecker blocks are cached under the sorted triple: g
+is symmetric in its three shapes, so every order of a triple reads one
+entry, and a block computes only its missing entries.
+"""
+
+from collections import defaultdict
 from math import factorial
 from operator import mul
 
 # ConsistencyError and character are re-exported for existing importers.
 from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, format_partition, format_triple, size_mismatch
 from .characters import KRON_SIZE_CAP, character, column, size_column
+
+# Block entries by degree, then sorted triple, so memory can be
+# reclaimed degree by degree as for the character columns.
+_values: dict[int, dict[tuple[Partition, Partition, Partition], int]] = defaultdict(dict)
 
 
 def _multiplicity(total: int, nfact: int, alpha, beta, gamma) -> int:
@@ -54,12 +64,8 @@ def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
 
 def kron_block(delta: Partition, xs, ys) -> dict[Partition, dict[Partition, int]]:
     """The nonzero ``kron(delta, x, y)`` over x in ``xs`` and y in
-    ``ys``, as ``{x: {y: g}}`` with a row, possibly empty, for every x.
-
-    The class sizes are weighted by the character of ``delta`` once and
-    by that of each x once, so each entry is one dot product of the
-    weighted column with the character of y, checked as in ``kron``.
-    """
+    ``ys``, as ``{x: {y: g}}`` with a row, possibly empty, for every x;
+    the shapes are checked, then built by ``kron_block_unchecked``."""
     delta = check_partition(delta)
     xs = [check_partition(x) for x in xs]
     ys = [check_partition(y) for y in ys]
@@ -75,15 +81,36 @@ def kron_block(delta: Partition, xs, ys) -> dict[Partition, dict[Partition, int]
             f"size {n} of the block of {format_partition(delta)}"
             f" exceeds the desk-scale limit of {KRON_SIZE_CAP}"
         )
-    nfact = factorial(n)
-    weighted = list(map(mul, size_column(n), column(delta)))
-    cols = [(y, column(y)) for y in ys]
+    return kron_block_unchecked(delta, xs, ys)
+
+
+def kron_block_unchecked(delta: Partition, xs, ys) -> dict[Partition, dict[Partition, int]]:
+    """``kron_block(delta, xs, ys)`` for partitions of one size at most
+    ``KRON_SIZE_CAP`` that the caller has checked.  Entries come from
+    the value cache, and only the missing ones are computed: the class
+    sizes are weighted by the character of ``delta`` once and by that of
+    each x once, so each entry is one dot product with the character of
+    y, checked as in ``kron``.  Nothing is weighted for a row whose
+    entries are all cached."""
+    n = sum(delta)
+    values = _values[n]
+    weighted = None
     block = {}
     for x in xs:
-        wx = list(map(mul, weighted, column(x)))
         row = block[x] = {}
-        for y, col in cols:
-            if g := _multiplicity(sum(map(mul, wx, col)), nfact, delta, x, y):
+        wx = None
+        lo, hi = (delta, x) if delta <= x else (x, delta)
+        for y in ys:
+            # the sorted triple, y inserted into the sorted pair
+            key = (y, lo, hi) if y <= lo else (lo, y, hi) if y <= hi else (lo, hi, y)
+            g = values.get(key)
+            if g is None:
+                if wx is None:
+                    if weighted is None:
+                        weighted = list(map(mul, size_column(n), column(delta)))
+                    wx = list(map(mul, weighted, column(x)))
+                g = values[key] = _multiplicity(sum(map(mul, wx, column(y))), factorial(n), delta, x, y)
+            if g:
                 row[y] = g
     return block
 

@@ -243,16 +243,3 @@ def dim_gl(lam: Partition, m: int) -> int:
         raise ConsistencyError(f"Weyl dimension {num}/{den} of {lam} for GL({m}) is not an integer")
     return dim
 
-
-def z_order(rho: Partition) -> int:
-    """Order of the centralizer of a permutation with cycle type ``rho``:
-    the product over cycle sizes i of ``i**m_i * m_i!``."""
-    z = 1
-    mult = 1
-    for idx, p in enumerate(rho):
-        if idx and rho[idx - 1] == p:
-            mult += 1
-        else:
-            mult = 1
-        z *= p * mult
-    return z

@@ -93,6 +93,20 @@ def cycle_type(perm) -> tuple:
     return tuple(sorted(lengths, reverse=True))
 
 
+def z_order(rho) -> int:
+    """Order of the centralizer of a permutation with cycle type ``rho``:
+    the product over cycle sizes i of ``i**m_i * m_i!``."""
+    z = 1
+    mult = 1
+    for idx, p in enumerate(rho):
+        if idx and rho[idx - 1] == p:
+            mult += 1
+        else:
+            mult = 1
+        z *= p * mult
+    return z
+
+
 def kron_oracle(alpha, beta, gamma) -> int:
     """Element-by-element character average over the full group."""
     n = sum(alpha)

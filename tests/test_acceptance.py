@@ -23,7 +23,8 @@ from kronstab.bounds import (
     dbor2_improved_fixed,
     dbor2_improvement_orderings,
 )
-from kronstab.characters import character, clear_character_cache
+from kronstab import clear_caches
+from kronstab.characters import character
 from kronstab.fixtures import TABLE_1, TABLE_2
 from kronstab.hm import (
     ScenarioError,
@@ -36,7 +37,7 @@ from kronstab.hm import (
 from kronstab.hyperoct import dim_wreath, hyperoct_coeff
 from kronstab.kronecker import kron
 from kronstab.lr import lr, schur_product_expand
-from kronstab.partitions import conjugate, dim_gl, dim_sn, partitions_of, z_order
+from kronstab.partitions import conjugate, dim_gl, dim_sn, partitions_of
 from kronstab.plethysm import plethysm_coeff
 from kronstab.stabilization import sequence_term
 
@@ -73,7 +74,7 @@ def _row_data(table_id, idx):
     sequence = tuple(
         sequence_term(triple, direction, d) for d in range(horizon + 1)
     )
-    clear_character_cache()
+    clear_caches()
     return bounds, checked, sequence
 
 
@@ -151,8 +152,8 @@ def test_criterion_5_pure_invariant_suites():
         for rho in ps:
             for sigma in ps:
                 total = sum(table[(lam, rho)] * table[(lam, sigma)] for lam in ps)
-                assert total == (z_order(rho) if rho == sigma else 0)
-        clear_character_cache(n)
+                assert total == (oracles.z_order(rho) if rho == sigma else 0)
+        clear_caches(n)
     # Kronecker symmetry and the trivial/sign identities
     for n in range(2, 7):
         ps = partitions_of(n)

@@ -2,23 +2,22 @@ import math
 
 import pytest
 
-from kronstab import characters
+from kronstab import characters, clear_caches
 from kronstab.characters import (
     KRON_SIZE_CAP,
     _memo,
     _size,
     beta_mask,
     character,
-    clear_character_cache,
     column,
     count,
     rank,
     size_column,
 )
 from kronstab.kronecker import kron
-from kronstab.partitions import PartitionError, SizeCapError, add_scaled, conjugate, dim_sn, partitions_of, z_order
+from kronstab.partitions import PartitionError, SizeCapError, add_scaled, conjugate, dim_sn, partitions_of
 
-from oracles import character_oracle
+from oracles import character_oracle, z_order
 
 
 def test_against_alternant_oracle():
@@ -71,7 +70,7 @@ def test_diagonal_orthogonality():
             assert sum(col[r] ** 2 for col in cols) == z_order(rho), rho
         for lam, col in zip(ps, cols):
             assert sum(size * v * v for size, v in zip(sizes, col)) == math.factorial(n), lam
-        clear_character_cache(n)
+        clear_caches(n)
 
 
 def test_sign_twist():
@@ -92,9 +91,9 @@ def test_trivial_and_sign_characters():
 def test_cache_eviction_preserves_values():
     lam, rho = (4, 2, 1), (3, 2, 1, 1)
     before = character(lam, rho)
-    clear_character_cache(7)
+    clear_caches(7)
     assert character(lam, rho) == before
-    clear_character_cache()
+    clear_caches()
     assert character(lam, rho) == before
 
 
@@ -102,7 +101,7 @@ def test_memo_keys_are_canonical():
     # Strips ending on bit 0 leave zero parts; each shape must still have
     # exactly one mask, so equal subproblems share one column.  Every
     # column is a whole number of blocks: a prefix of class order.
-    clear_character_cache()
+    clear_caches()
     for lam in partitions_of(8):
         for rho in partitions_of(8):
             character(lam, rho)
@@ -121,14 +120,14 @@ def test_clear_one_degree_keeps_the_other_columns():
     triple = (4, 3, 2), (3, 3, 3), (5, 2, 1, 1)
     values = {rho: character((3, 2, 1), rho) for rho in partitions_of(6)}
     kron(*triple)
-    clear_character_cache()
+    clear_caches()
     assert not _memo and not _size and not size_column.cache_info().currsize
     assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
     kron(*triple)
     assert 5 in _memo and 5 in _size
     kept = {degree: {m: list(c) for m, c in table.items()} for degree, table in _memo.items() if degree != 5}
     kept_sizes = {degree: list(s) for degree, s in _size.items() if degree != 5}
-    clear_character_cache(5)
+    clear_caches(5)
     assert 5 not in _memo and 5 not in _size and not size_column.cache_info().currsize
     assert _memo == kept and _size == kept_sizes
     assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
@@ -144,7 +143,7 @@ def test_rank_is_the_position_in_class_order():
 
 
 def test_size_column_is_n_factorial_over_z():
-    clear_character_cache()
+    clear_caches()
     for n in range(31):
         nfact = math.factorial(n)
         assert size_column(n) == tuple(nfact // z_order(rho) for rho in reversed(partitions_of(n))), n
@@ -173,7 +172,7 @@ def test_columns_extended_one_part_at_a_time(monkeypatch):
     cold = {}
     for shapes in by_degree.values():
         for lam in shapes:
-            clear_character_cache()
+            clear_caches()
             cold[lam] = list(column(lam))
     inner = characters._column
     depth = short = 0
@@ -190,7 +189,7 @@ def test_columns_extended_one_part_at_a_time(monkeypatch):
 
     monkeypatch.setattr(characters, "_column", spy)
     for n, shapes in by_degree.items():
-        clear_character_cache()
+        clear_caches()
         for k in range(1, n + 1):
             length = count(n, k)
             for lam in shapes:
@@ -203,16 +202,16 @@ def test_columns_extended_one_part_at_a_time(monkeypatch):
     sizes = size_column(18)
     assert sum(size * v * v for size, v in zip(sizes, cold[lam])) == math.factorial(18)
     assert sum(size * v for size, v in zip(sizes, cold[lam])) == 0
-    clear_character_cache()
+    clear_caches()
 
 
 def test_cold_kron_at_size_48():
     # Table 3.6.1 row 3 grown by 30 along (1), (1), (1); the per-class
     # engine this one replaced gives 318 too.
-    clear_character_cache()
+    clear_caches()
     row = ((5, 5, 4, 4), (6, 6, 6), (3, 3, 2, 2, 2, 2, 1, 1, 1, 1))
     assert kron(*(add_scaled(lam, 30, (1,)) for lam in row)) == 318
-    clear_character_cache()
+    clear_caches()
 
 
 def test_cycle_type_in_any_order():

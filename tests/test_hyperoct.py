@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -66,6 +67,20 @@ def test_symmetric_in_first_two_arguments():
     dps = double_partitions(3)
     for a, b, c in itertools.combinations(dps, 3):
         assert hyperoct_coeff(a, b, c) == hyperoct_coeff(b, a, c)
+
+
+def test_symmetric_in_all_arguments():
+    # Every irreducible character of the hyperoctahedral group is real,
+    # so the multiplicity is the same under every order of the triple.
+    # The third shape is drawn among the constituents of the product of
+    # the first two, so no triple is trivially zero.
+    rng = random.Random(27)
+    for _ in range(40):
+        dps = double_partitions(rng.randint(1, 8))
+        a, b = rng.choice(dps), rng.choice(dps)
+        c = rng.choice([c for c in dps if hyperoct_coeff(a, b, c)])
+        values = {hyperoct_coeff(*p) for p in itertools.permutations((a, b, c))}
+        assert len(values) == 1, (a, b, c)
 
 
 def test_reduces_to_kronecker_with_empty_minus_parts():

@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from kronstab import kronecker
+from kronstab import clear_caches, kronecker
 from kronstab.kronecker import KRON_SIZE_CAP, kron, kron_block, weak_stability_probe
 from kronstab.lr import lr
-from kronstab.partitions import ConsistencyError, SizeCapError, add_scaled, conjugate, dim_sn, partitions_of
+from kronstab.partitions import ConsistencyError, PartitionError, SizeCapError, add_scaled, conjugate, dim_sn, partitions_of
 
 
 def test_against_group_average_oracle():
@@ -113,6 +113,15 @@ def test_reduced_limit_is_lr_at_size_40(c, expected):
     assert kron(_grown(a, 40), _grown(b, 40), _grown(c, 40)) == lr(a, b, c) == expected
 
 
+@pytest.mark.parametrize("c, expected", [((5, 4, 3, 2, 2), 3), ((6, 4, 4, 2), 2)])
+def test_reduced_limit_is_lr_at_size_48(c, expected):
+    # The north star's largest size; c_1 is at most 6, so _stable_n is at
+    # most 38.
+    a, b = (4, 3, 1), (3, 3, 2)
+    assert _stable_n(a, b, c) <= 48
+    assert kron(_grown(a, 48), _grown(b, 48), _grown(c, 48)) == lr(a, b, c) == expected
+
+
 def test_weak_stability_probe_examples():
     assert weak_stability_probe((1,), (1,), (1,), 4) == (True, None, None)
     assert weak_stability_probe((1, 1), (1, 1), (2,), 4) == (True, None, None)
@@ -149,6 +158,14 @@ def test_block_rejects_bad_shapes():
         kron_block((2,), [(2,), (1,)], [(2,)])
     with pytest.raises(ValueError):
         kron_block((2,), [(2,)], [(1, 1), (3,)])
+    with pytest.raises(PartitionError) as err:
+        kron_block((2, 1), [(1, 2)], [(3,)])
+    assert str(err.value) == "parts must be weakly decreasing, got (1, 2)"
+    with pytest.raises(ValueError) as err:
+        kron_block((2, 1), [(2, 1)], [(3,), (2, 2)])
+    assert str(err.value) == (
+        "size 4 of 2,2 differs from size 3 of 2,1; every shape of a block must have that size"
+    )
     with pytest.raises(SizeCapError) as err:
         kron_block((51,), [(51,)], [(50, 1)])
     assert str(err.value) == "size 51 of the block of 51 exceeds the desk-scale limit of 50"
@@ -160,8 +177,52 @@ def test_block_rejects_bad_shapes():
     ((1, 3, 14), "negative multiplicity -1 for (2, 1), (2, 1), (2, 1)"),
 ])
 def test_block_and_kron_share_exactness_checks(monkeypatch, sizes, message):
+    clear_caches()
     monkeypatch.setattr(kronecker, "size_column", lambda n: sizes)
     for compute in (lambda: kron_block((2, 1), [(2, 1)], [(2, 1)]), lambda: kron((2, 1), (2, 1), (2, 1))):
         with pytest.raises(ConsistencyError) as err:
             compute()
         assert str(err.value) == message
+
+
+def _spy_columns(monkeypatch):
+    """Count the character columns the Kronecker engine fetches."""
+    fetched = []
+    inner = kronecker.column
+
+    def spy(lam, *args):
+        fetched.append(lam)
+        return inner(lam, *args)
+
+    monkeypatch.setattr(kronecker, "column", spy)
+    return fetched
+
+
+def test_every_order_of_a_triple_reads_one_cached_value(monkeypatch):
+    clear_caches()
+    triple = (4, 2), (3, 2, 1), (2, 2, 1, 1)
+    first = kron(*triple)
+    assert kron_block(triple[0], [triple[1]], [triple[2]]) == {triple[1]: {triple[2]: first}}
+    assert kronecker._values[6] == {tuple(sorted(triple)): first}
+    # The other five orders read that entry: no column, no class sizes.
+    fetched = _spy_columns(monkeypatch)
+    monkeypatch.setattr(kronecker, "size_column", None)
+    for d, x, y in itertools.permutations(triple):
+        assert kron_block(d, [x], [y]) == {x: {y: first}}
+    assert fetched == [] and len(kronecker._values[6]) == 1
+
+
+def test_cleared_values_are_computed_again(monkeypatch):
+    clear_caches()
+    triple = (3, 1), (2, 1, 1), (2, 2)
+    value = kron(*triple)
+    block = {triple[1]: {triple[2]: value}}
+    assert kron_block(triple[0], [triple[1]], [triple[2]]) == block
+    assert kron_block((2, 1), [(2, 1)], [(3,)]) == {(2, 1): {(3,): 1}}
+    fetched = _spy_columns(monkeypatch)
+    assert kron_block(triple[0], [triple[1]], [triple[2]]) == block and fetched == []
+    assert clear_caches(4)["kronecker._values"] == 1 and list(kronecker._values) == [3]
+    assert kron_block(triple[0], [triple[1]], [triple[2]]) == block and len(fetched) == 3
+    assert kron_block((3,), [(2, 1)], [(2, 1)]) == {(2, 1): {(2, 1): 1}} and len(fetched) == 3
+    assert clear_caches()["kronecker._values"] == 2 and not kronecker._values
+    assert kron_block(triple[0], [triple[1]], [triple[2]]) == block and len(fetched) == 6

@@ -15,10 +15,9 @@ from kronstab.partitions import (
     parse_partition,
     part_at,
     partitions_of,
-    z_order,
 )
 
-from oracles import ssyt_weights, standard_tableaux_count
+from oracles import ssyt_weights, standard_tableaux_count, z_order
 
 partitions = st.lists(st.integers(1, 9), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))

@@ -1,7 +1,8 @@
 import pytest
 
 from kronstab import stabilization
-from kronstab.bounds import FAMILIES, bound_D1, bound_D2, bound_hyperoct
+from kronstab.bounds import FAMILIES, bound_D1, bound_D2, bound_Dm, bound_hyperoct
+from kronstab.lr import lr
 from kronstab.fixtures import TABLE_1, TABLE_2
 from kronstab.partitions import ConsistencyError
 from kronstab.stabilization import (
@@ -50,6 +51,23 @@ def test_certified_index_on_cheap_rows():
         bound = bound_D2(*triple)
         res = d_real(triple, SQUARES, bound)
         assert res.d_real == expected
+
+
+@pytest.mark.parametrize("a, b, c, expected", [
+    ((2, 1), (2, 1), (3, 2, 1), 2),
+    ((2, 1), (2, 1), (2, 2, 1, 1), 1),
+    ((2, 1), (2, 1), (6,), 0),
+    ((3, 1), (2, 2), (4, 3, 1), 1),
+    ((4, 3, 1), (3, 3, 2), (6, 4, 3, 2, 1), 4),
+])
+def test_certified_limit_is_the_reduced_lr_coefficient(a, b, c, expected):
+    # With |c| = |a| + |b|, g(a[n], b[n], c[n]) along one box on each
+    # first row tends to c^c_{ab} (Murnaghan; Briand-Orellana-Rosas,
+    # J. Algebra 2011), and lr shares no code with kron or the bounds.
+    # The base is the least n at which all three are partitions.
+    n = max(sum(x) + x[0] for x in (a, b, c))
+    base = tuple((n - sum(x), *x) for x in (a, b, c))
+    assert d_real(base, ONE_BOX, bound_Dm(*base)).limit == lr(a, b, c) == expected
 
 
 def test_sequence_invariants():
