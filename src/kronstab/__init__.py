@@ -1,9 +1,12 @@
 """Exact tensor-product multiplicities for symmetric and hyperoctahedral
 groups, with stabilization bounds derived from geometric invariant theory."""
 
+from types import ModuleType as _Module
+
 from .partitions import (
     Partition,
     PartitionError,
+    SizeCapError,
     add_scaled,
     check_partition,
     conjugate,
@@ -39,7 +42,7 @@ from .stabilization import (
     empirical_scan,
     sequence_term,
 )
-from .characters import _memo, _size, count as _count, size_column as _size_column
+from .characters import _memo, _size, count as _count
 from .kronecker import _values
 from .lr import _lr, _skew
 from .partitions import _dim_sn
@@ -48,30 +51,25 @@ from .plethysm import _positions
 
 def clear_caches(degree: int | None = None) -> dict[str, int]:
     """Empty every cache of the package, or, given a degree, drop only
-    that degree's character columns, class sizes and Kronecker values
-    (and the class-size tuples, which are cached whole).  Returns how
-    many entries each cache it clears held before the call: columns,
-    class sizes and values of the degree, or of all degrees."""
+    that degree's character columns, class sizes and Kronecker values.
+    Returns how many entries each cache it clears held before the call:
+    columns, class sizes and values of the degree, or of all degrees."""
     by_degree = {"characters._memo": _memo, "characters._size": _size, "kronecker._values": _values}
-    functions = {"characters.size_column": _size_column}
-    if degree is None:
-        functions |= {"characters.count": _count, "lr._lr": _lr, "lr._skew": _skew,
-                      "partitions.partitions_of": partitions_of, "partitions._dim_sn": _dim_sn}
+    if degree is not None:
+        return {name: len(table.pop(degree, ())) for name, table in by_degree.items()}
     sizes = {}
     for name, table in by_degree.items():
-        if degree is None:
-            sizes[name] = sum(map(len, table.values()))
-            table.clear()
-        else:
-            sizes[name] = len(table.pop(degree, ()))
+        sizes[name] = sum(map(len, table.values()))
+        table.clear()
+    functions = {"characters.count": _count, "lr._lr": _lr, "lr._skew": _skew,
+                 "partitions.partitions_of": partitions_of, "partitions._dim_sn": _dim_sn}
     for name, fn in functions.items():
         sizes[name] = fn.cache_info().currsize
         fn.cache_clear()
-    if degree is None:
-        sizes["plethysm._positions"] = len(_positions)
-        _positions.clear()
+    sizes["plethysm._positions"] = len(_positions)
+    _positions.clear()
     return sizes
 
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _Module)]
 __version__ = "0.1.0"

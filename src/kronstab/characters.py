@@ -18,10 +18,10 @@ first ``count(n - k, k)`` classes ``sigma`` of n - k.  A shape's
 part k is the signed sum of the columns, cut to that length, of the
 shapes left by removing each k-strip.  Strips are found once per shape
 and part, not once per class.  Columns are cached as
-``_memo[n][mask]`` and extended block by block as far as a caller
-needs; the strip loop reads a long enough column from the cache and
-recurses only to build or extend one.  ``kron`` and ``hyperoct`` reuse
-the full column of a shape across calls.
+``_memo[n][mask]``, class sizes as ``_size[n]`` (``size_column``), both
+extended block by block as far as a caller needs; the strip loop reads
+a long enough column from the cache and recurses only to build or
+extend one.  ``kron`` and ``hyperoct`` reuse full columns across calls.
 """
 
 from collections import defaultdict
@@ -29,7 +29,7 @@ from functools import cache
 from math import perm
 from operator import add, neg, sub
 
-from .partitions import Partition, SizeCapError, check_partition, format_partition
+from .partitions import Partition, check_partition, format_partition, over_cap
 
 # Above the north star's n = 48, where a cold ``kron`` takes a fraction of
 # a second; a full column of n holds p(n) values (p(50) = 204 226).
@@ -142,10 +142,9 @@ def _sizes(n: int, k: int) -> list[int]:
     return col
 
 
-@cache
-def size_column(n: int) -> tuple[int, ...]:
-    """Size ``n!/z(rho)`` of each class of n, in class order."""
-    return tuple(_sizes(n, n))
+def size_column(n: int) -> list[int]:
+    """Size ``n!/z(rho)`` of each class of n, in class order: the cached list; do not change it."""
+    return _sizes(n, n)
 
 
 def character(lam: Partition, rho: Partition) -> int:
@@ -161,9 +160,7 @@ def character(lam: Partition, rho: Partition) -> int:
     if n != sum(rho):
         raise ValueError(f"shape {lam} and cycle type {rho} must have equal size")
     if n > KRON_SIZE_CAP:
-        raise SizeCapError(
-            f"size {n} of shape {format_partition(lam)} and cycle type"
-            f" {format_partition(rho)} exceeds the desk-scale limit of {KRON_SIZE_CAP}"
-        )
+        raise over_cap(f"size {n} of shape {format_partition(lam)} and cycle type"
+                       f" {format_partition(rho)}", KRON_SIZE_CAP)
     return column(lam, rho[0] if rho else 0)[rank(rho)]
 

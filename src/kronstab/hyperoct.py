@@ -17,8 +17,7 @@ Kronecker values shared by every block and computed only when missing.
 from itertools import product
 from math import comb
 
-# format_double_partition stays importable here, beside parse_double_partition.
-from .partitions import DoublePartition, Partition, PartitionError, SizeCapError, check_partition, contains, dim_sn, format_double_partition, format_triple, parse_partition, partitions_of, total_size
+from .partitions import DoublePartition, Partition, PartitionError, check_partition, contains, dim_sn, format_triple, over_cap, parse_partition, partitions_of, total_size
 # ``kron`` and ``lr`` stay names here: perfbench traces ``hyperoct.kron``
 # and ``hyperoct.lr``.
 from .kronecker import kron, kron_block_unchecked
@@ -121,10 +120,7 @@ def hyperoct_coeff(
     if total_size(alpha) != n or total_size(beta) != n:
         return 0
     if n > size_cap:
-        raise SizeCapError(
-            f"total size {n} of {format_triple(triple)}"
-            f" exceeds the desk-scale limit of {size_cap}"
-        )
+        raise over_cap(f"total size {n} of {format_triple(triple)}", size_cap)
     # Block sizes: alpha-plus is s1 + s3, alpha-minus s2 + s4, beta-plus
     # s1 + s4, beta-minus s2 + s3 and gamma-plus s1 + s2.
     s1, odd = divmod(sum(ap) + sum(bp) + sum(gp) - n, 2)

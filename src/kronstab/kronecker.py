@@ -10,7 +10,7 @@ from math import factorial
 from operator import mul
 
 # ConsistencyError and character are re-exported for existing importers.
-from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, format_partition, format_triple, size_mismatch
+from .partitions import ConsistencyError, Partition, check_partition, check_triple, format_partition, format_triple, over_cap
 from .characters import KRON_SIZE_CAP, character, column, size_column
 
 # Block entries by degree, then sorted triple, so memory can be
@@ -43,17 +43,10 @@ def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     are zipped with the column of class sizes ``n!/z(rho)``, and the
     total must come out divisible by ``n!``.
     """
-    alpha = check_partition(alpha)
-    beta = check_partition(beta)
-    gamma = check_partition(gamma)
+    alpha, beta, gamma = check_triple((alpha, beta, gamma), False)
     n = sum(alpha)
-    if sum(beta) != n or sum(gamma) != n:
-        raise size_mismatch((n, sum(beta), sum(gamma)), format_triple((alpha, beta, gamma)))
     if n > KRON_SIZE_CAP:
-        raise SizeCapError(
-            f"size {n} of {format_triple((alpha, beta, gamma))}"
-            f" exceeds the desk-scale limit of {KRON_SIZE_CAP}"
-        )
+        raise over_cap(f"size {n} of {format_triple((alpha, beta, gamma))}", KRON_SIZE_CAP)
     total = sum(
         a * b * c * size
         for size, a, b, c in zip(size_column(n), column(alpha), column(beta), column(gamma))
@@ -77,10 +70,7 @@ def kron_block(delta: Partition, xs, ys) -> dict[Partition, dict[Partition, int]
                 f" of {format_partition(delta)}; every shape of a block must have that size"
             )
     if n > KRON_SIZE_CAP:
-        raise SizeCapError(
-            f"size {n} of the block of {format_partition(delta)}"
-            f" exceeds the desk-scale limit of {KRON_SIZE_CAP}"
-        )
+        raise over_cap(f"size {n} of the block of {format_partition(delta)}", KRON_SIZE_CAP)
     return kron_block_unchecked(delta, xs, ys)
 
 

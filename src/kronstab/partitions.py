@@ -122,14 +122,6 @@ def format_triple(triple) -> str:
     return " / ".join(map(fmt, triple))
 
 
-def size_mismatch(sizes, text: str) -> ValueError:
-    """The error for a triple, rendered as ``text``, whose sizes differ."""
-    return ValueError(
-        f"sizes {', '.join(map(str, sizes))} of {text} differ;"
-        " all three partitions must have the same size"
-    )
-
-
 def check_triple(triple, double: bool, what: str = "") -> tuple:
     """Validate three partitions, or three double partitions, whose sizes
     (total sizes) agree; a size error names the triple after ``what``."""
@@ -140,8 +132,16 @@ def check_triple(triple, double: bool, what: str = "") -> tuple:
         triple = tuple(map(check_partition, triple))
         sizes = list(map(sum, triple))
     if len(set(sizes)) > 1:
-        raise size_mismatch(sizes, what + format_triple(triple))
+        raise ValueError(
+            f"sizes {', '.join(map(str, sizes))} of {what}{format_triple(triple)} differ;"
+            " all three partitions must have the same size"
+        )
     return triple
+
+
+def over_cap(what: str, cap: int) -> SizeCapError:
+    """The error for a request, described by ``what``, above the limit ``cap``."""
+    return SizeCapError(f"{what} exceeds the desk-scale limit of {cap}")
 
 
 def part_at(lam: Partition, k: int) -> int:

@@ -2,9 +2,10 @@
 
 All internal computation happens in the power-sum basis, where plethysm
 is the algebra morphism generated by ``p_k`` composed with ``p_m`` giving
-``p_{k*m}``.  Schur functions appear only at the boundary, converted
-through character values.  Coefficients are integers over one common
-denominator, so the only division is the final exactness check.
+``p_{k*m}``; a ``SymFunc`` is a power-sum expansion.  Schur functions
+appear only at the boundary, converted through character values, each
+of degree at most ``DEGREE_CAP``.  Coefficients are integers over one
+common denominator, so the only division is the final exactness check.
 
 Inside a composition a power-sum index rho is an integer *code*: the
 multiplicity of the part j sits in a bit field of width ``BITS`` at bit
@@ -18,7 +19,7 @@ from math import factorial, gcd
 from operator import mul
 from typing import NamedTuple
 
-from .partitions import ConsistencyError, Partition, SizeCapError, check_partition, format_triple, partitions_of
+from .partitions import ConsistencyError, Partition, check_partition, format_partition, format_triple, over_cap, partitions_of
 # ``character`` stays a name here: perfbench traces ``plethysm.character``.
 from .characters import character, column, count, size_column
 
@@ -27,11 +28,10 @@ BITS = DEGREE_CAP.bit_length()
 
 
 class SymFunc(NamedTuple):
-    """A homogeneous symmetric function: a basis tag, a finite map from
-    partitions to integer numerators (zeros omitted) and their common
-    positive denominator, in lowest terms."""
+    """A homogeneous symmetric function in the power-sum basis: a finite
+    map from partitions to integer numerators (zeros omitted) and their
+    common positive denominator, in lowest terms."""
 
-    basis: str  # "powersum" or "schur"
     coeffs: tuple[tuple[Partition, int], ...]
     denom: int = 1
 
@@ -41,13 +41,13 @@ class SymFunc(NamedTuple):
         return 0
 
 
-def _make(basis: str, d: dict, denom: int, decode=lambda k: k) -> SymFunc:
+def _make(d: dict, denom: int, decode=lambda k: k) -> SymFunc:
     """The ``SymFunc`` of the numerators ``d`` over ``denom``, its keys
     sorted in decreasing order, then turned into partitions by
     ``decode``."""
     g = gcd(denom, *d.values())
     items = tuple((decode(k), v // g) for k, v in sorted(d.items(), reverse=True) if v)
-    return SymFunc(basis, items, denom // g)
+    return SymFunc(items, denom // g)
 
 
 def schur_to_powersum(lam: Partition) -> SymFunc:
@@ -56,9 +56,11 @@ def schur_to_powersum(lam: Partition) -> SymFunc:
     size times the character value over ``n!``."""
     lam = check_partition(lam)
     n = sum(lam)
+    if n > DEGREE_CAP:
+        raise over_cap(f"size {n} of {format_partition(lam)}", DEGREE_CAP)
     classes = reversed(partitions_of(n))
     d = dict(zip(classes, map(mul, column(lam), size_column(n))))
-    return _make("powersum", d, factorial(n))
+    return _make(d, factorial(n))
 
 
 def _code(rho: Partition, k: int = 1) -> int:
@@ -113,14 +115,9 @@ def _compose(f: SymFunc, g: SymFunc) -> tuple[dict[int, int], int]:
     is scaled by ``g.denom ** (deg f - len(rho))`` to put every term over
     ``f.denom * g.denom ** deg f``.
     """
-    if f.basis != "powersum" or g.basis != "powersum":
-        raise ValueError("both arguments must be power-sum elements")
     deg = f.degree()
     if deg * g.degree() > DEGREE_CAP:
-        raise SizeCapError(
-            f"degree {deg * g.degree()} of the composition exceeds the"
-            f" desk-scale limit of {DEGREE_CAP}"
-        )
+        raise over_cap(f"degree {deg * g.degree()} of the composition", DEGREE_CAP)
     scaled: dict[int, list[tuple[int, int]]] = {}  # p_k[g] for each part k
     out: dict[int, int] = {}
     for rho, a in f.coeffs:
@@ -143,7 +140,7 @@ def plethysm_powersum(f: SymFunc, g: SymFunc) -> SymFunc:
     """Plethysm in the power-sum basis, of degree at most
     ``DEGREE_CAP``."""
     comp, denom = _compose(f, g)
-    return _make("powersum", comp, denom, _decode)
+    return _make(comp, denom, _decode)
 
 
 def plethysm_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -158,10 +155,7 @@ def plethysm_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     if deg != sum(nu):
         return 0
     if deg > DEGREE_CAP:
-        raise SizeCapError(
-            f"degree {deg} of {format_triple((lam, mu, nu))} exceeds the"
-            f" desk-scale limit of {DEGREE_CAP}"
-        )
+        raise over_cap(f"degree {deg} of {format_triple((lam, mu, nu))}", DEGREE_CAP)
     comp, denom = _compose(schur_to_powersum(lam), schur_to_powersum(mu))
     # The top field of the largest code is the largest part of any index.
     col = column(nu, (max(comp).bit_length() + BITS - 1) // BITS)

@@ -292,7 +292,6 @@ def powersum_to_schur(f: SymFunc) -> dict:
     """Schur expansion {nu: rational} of a power-sum element by the Hall
     inner product: the coefficient at ``nu`` is the sum of ``c_rho *
     character(nu, rho)`` over the terms of ``f``."""
-    assert f.basis == "powersum"
     out = {}
     for nu in partitions_of(f.degree()):
         col = column(nu)
@@ -324,7 +323,7 @@ def powersum_composition(f: SymFunc, g: SymFunc) -> SymFunc:
     denom = f.denom * g.denom ** deg
     common = gcd(denom, *out.values())
     items = tuple((k, v // common) for k, v in sorted(out.items(), reverse=True) if v)
-    return SymFunc("powersum", items, denom // common)
+    return SymFunc(items, denom // common)
 
 
 # ---------------------------------------------------------------------------

@@ -121,14 +121,14 @@ def test_clear_one_degree_keeps_the_other_columns():
     values = {rho: character((3, 2, 1), rho) for rho in partitions_of(6)}
     kron(*triple)
     clear_caches()
-    assert not _memo and not _size and not size_column.cache_info().currsize
+    assert not _memo and not _size
     assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
     kron(*triple)
     assert 5 in _memo and 5 in _size
     kept = {degree: {m: list(c) for m, c in table.items()} for degree, table in _memo.items() if degree != 5}
     kept_sizes = {degree: list(s) for degree, s in _size.items() if degree != 5}
     clear_caches(5)
-    assert 5 not in _memo and 5 not in _size and not size_column.cache_info().currsize
+    assert 5 not in _memo and 5 not in _size
     assert _memo == kept and _size == kept_sizes
     assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
 
@@ -146,7 +146,8 @@ def test_size_column_is_n_factorial_over_z():
     clear_caches()
     for n in range(31):
         nfact = math.factorial(n)
-        assert size_column(n) == tuple(nfact // z_order(rho) for rho in reversed(partitions_of(n))), n
+        assert size_column(n) == [nfact // z_order(rho) for rho in reversed(partitions_of(n))], n
+        assert size_column(n) is _size[n]
     # Sizes of smaller degrees are cached as prefixes, a whole number of
     # blocks each, like the columns.
     assert set(_size) == set(range(31))

@@ -180,6 +180,8 @@ def test_plethysm(capsys):
     assert code == 0 and out.strip() == "1"
     code, out, _ = run(capsys, "plethysm", "2 / 1,1 / 4")
     assert code == 0 and out.strip() == "0"
+    code, _, err = run(capsys, "plethysm", "45 / - / -")
+    assert code == 1 and err == "error: size 45 of 45 exceeds the desk-scale limit of 24\n"
 
 
 def test_hyperoct(capsys):

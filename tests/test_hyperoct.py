@@ -3,18 +3,17 @@ import random
 
 import pytest
 
+from kronstab import SizeCapError
 from kronstab.hyperoct import (
-    SizeCapError,
     _lr_block,
     dim_wreath,
-    format_double_partition,
     hyperoct_coeff,
     parse_double_partition,
     total_size,
 )
 from kronstab.kronecker import kron
 from kronstab.lr import _skew, schur_product_expand
-from kronstab.partitions import PartitionError, partitions_of
+from kronstab.partitions import PartitionError, format_double_partition, partitions_of
 
 from oracles import wreath_character, wreath_tensor_oracle
 

@@ -57,8 +57,9 @@ def test_coded_composition_on_benchmark_pairs():
 
 
 def test_composition_degree_cap():
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError) as err:
         plethysm_powersum(schur_to_powersum((5,)), schur_to_powersum((5,)))
+    assert str(err.value) == "degree 25 of the composition exceeds the desk-scale limit of 24"
 
 
 def test_against_weight_multiset_oracle():
@@ -114,6 +115,19 @@ def test_degree_cap():
     assert str(err.value) == (
         "degree 25 of 5 / 5 / 25 exceeds the desk-scale limit of 24"
     )
+
+
+def test_empty_factor_is_capped_too():
+    # The degree |lam|*|mu| is 0 when a factor is empty, so the cap must
+    # hold for each Schur function the composition expands.
+    for triple in (((45,), (), ()), ((), (45,), ())):
+        with pytest.raises(SizeCapError) as err:
+            plethysm_coeff(*triple)
+        assert str(err.value) == "size 45 of 45 exceeds the desk-scale limit of 24"
+    # s_lam[1] = 1 exactly when lam is one row, and s_0[g] = 1.
+    assert plethysm_coeff((3,), (), ()) == 1
+    assert plethysm_coeff((2, 1), (), ()) == 0
+    assert plethysm_coeff((), (3,), ()) == 1
 
 
 # Values the engine produced for perfbench/reference.json before its

@@ -1,12 +1,16 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import kronstab
+from kronstab.partitions import SizeCapError
 
 
 def test_no_assert_statements():
@@ -17,6 +21,49 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_partitions_builds_size_cap_errors():
+    # Every cap error goes through ``partitions.over_cap``, so all share
+    # one message form.
+    found = []
+    for path in sorted(Path(kronstab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "SizeCapError" and path.name != "partitions.py":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_star_import_binds_no_modules():
+    namespace = {}
+    exec("from kronstab import *", namespace)
+    assert [name for name, value in namespace.items() if isinstance(value, ModuleType)] == []
+    assert namespace["SizeCapError"] is SizeCapError is kronstab.SizeCapError
+
+
+def test_clear_caches_empties_every_cache():
+    from kronstab import clear_caches, dim_sn, hyperoct_coeff, kron, lr, plethysm_coeff
+    from kronstab.characters import _memo, _size
+    from kronstab.kronecker import _values, kron_block
+    from kronstab.plethysm import _positions
+
+    kron((2, 1), (2, 1), (2, 1))
+    kron_block((2, 1), [(2, 1)], [(3,)])
+    lr((1,), (1,), (2,))
+    hyperoct_coeff(((1,), (1,)), ((1,), (1,)), ((1, 1), ()))
+    plethysm_coeff((2,), (2,), (4,))
+    dim_sn((3, 1))
+    sizes = clear_caches()
+    assert [name for name, size in sizes.items() if not size] == []
+    modules = [importlib.import_module(f"kronstab.{m.name}") for m in pkgutil.iter_modules(kronstab.__path__)]
+    cached = [
+        f"{module.__name__}.{name}" for module in modules for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.cache_info().currsize
+    ]
+    assert cached == []
+    assert not _memo and not _size and not _values and not _positions
 
 
 def test_exactness_errors_survive_optimisation():
