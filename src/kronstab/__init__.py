@@ -42,7 +42,7 @@ from .stabilization import (
     empirical_scan,
     sequence_term,
 )
-from .characters import _memo, _size, count as _count
+from .characters import _memo, _rows, _size
 from .kronecker import _values
 from .lr import _lr, _skew
 from .partitions import _dim_sn
@@ -61,11 +61,13 @@ def clear_caches(degree: int | None = None) -> dict[str, int]:
     for name, table in by_degree.items():
         sizes[name] = sum(map(len, table.values()))
         table.clear()
-    functions = {"characters.count": _count, "lr._lr": _lr, "lr._skew": _skew,
+    functions = {"lr._lr": _lr, "lr._skew": _skew,
                  "partitions.partitions_of": partitions_of, "partitions._dim_sn": _dim_sn}
     for name, fn in functions.items():
         sizes[name] = fn.cache_info().currsize
         fn.cache_clear()
+    sizes["characters._rows"] = len(_rows)
+    _rows[:] = [[1]]
     sizes["plethysm._positions"] = len(_positions)
     _positions.clear()
     return sizes

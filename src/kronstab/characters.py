@@ -21,11 +21,13 @@ and part, not once per class.  Columns are cached as
 ``_memo[n][mask]``, class sizes as ``_size[n]`` (``size_column``), both
 extended block by block as far as a caller needs; the strip loop reads
 a long enough column from the cache and recurses only to build or
-extend one.  ``kron`` and ``hyperoct`` reuse full columns across calls.
+extend one.  Both read every prefix and block length from one table,
+``_rows[n][k] == count(n, k)``, grown a row at a time on demand and not
+at import.  ``kron`` and ``hyperoct`` reuse full columns across calls.
 """
 
 from collections import defaultdict
-from functools import cache
+from itertools import accumulate
 from math import perm
 from operator import add, neg, sub
 
@@ -40,18 +42,22 @@ KRON_SIZE_CAP = 50
 _memo: dict[int, dict[int, list[int]]] = defaultdict(dict)
 # Class sizes by degree, in class order, extended like columns.
 _size: dict[int, list[int]] = {}
+# Class counts by degree: ``_rows[n][k] == count(n, k)`` for 0 <= k <= n.
+_rows: list[list[int]] = [[1]]
 
 
-@cache
+def _row(n: int) -> list[int]:
+    """``[count(n, 0), ..., count(n, n)]``: row n of ``_rows``, grown to
+    it on demand by ``count(m, k) = count(m, k - 1) + count(m - k, k)``."""
+    for m in range(len(_rows), n + 1):
+        _rows.append(list(accumulate((_rows[m - k][min(k, m - k)] for k in range(1, m + 1)), initial=0)))
+    return _rows[n]
+
+
 def count(n: int, k: int) -> int:
     """The number of partitions of ``n`` with parts at most ``k``: the
     length of the prefix of class order that they fill."""
-    if n == 0:
-        return 1
-    if n < 0 or k <= 0:
-        return 0
-    k = min(k, n)
-    return count(n, k - 1) + count(n - k, k)
+    return _row(n)[max(0, min(k, n))] if n >= 0 else 0
 
 
 def rank(rho: Partition) -> int:
@@ -64,17 +70,6 @@ def rank(rho: Partition) -> int:
     return r
 
 
-def _blocks(length: int, n: int, k: int) -> range:
-    """The parts whose blocks extend a prefix of ``length`` classes of n
-    to the classes with parts at most ``k``; none if it reaches them."""
-    if length >= count(n, k):
-        return range(0)
-    first = 1
-    while count(n, first) <= length:
-        first += 1
-    return range(first, min(k, n) + 1)
-
-
 def beta_mask(lam: Partition) -> int:
     """Bitmask of the beta-numbers of the partition ``lam``."""
     l = len(lam)
@@ -83,15 +78,19 @@ def beta_mask(lam: Partition) -> int:
 
 def _column(mask: int, n: int, k: int) -> list[int]:
     """Character of the shape ``mask`` (of size ``n``) on at least the
-    first ``count(n, k)`` classes of n; the cache's own list."""
+    first ``count(n, k)`` classes of n; the cache's own list.  The rows
+    of ``_rows`` up to n must be built."""
     table = _memo[n]
     col = table.get(mask)
     if col is None:
         col = table[mask] = [1] if n == 0 else []
-    elif len(col) >= count(n, k):
+    row = _rows[n]
+    if len(col) >= row[min(k, n)]:
         return col
-    for part in _blocks(len(col), n, k):
-        size = count(n - part, part)
+    # A column is a whole number of blocks, so its length is in the row;
+    # the next part's block is the first it lacks.
+    for part in range(row.index(len(col)) + 1, min(k, n) + 1):
+        size = row[part] - row[part - 1]
         below = _memo[n - part]
         block = None
         # Bits t with t + part set and t clear: the removable strips.
@@ -123,6 +122,7 @@ def column(lam: Partition, max_part: int | None = None) -> list[int]:
     with parts at most ``max_part``.  The list is cached; do not change
     it."""
     n = sum(lam)
+    _row(n)
     return _column(beta_mask(lam), n, n if max_part is None else max_part)
 
 
@@ -131,20 +131,29 @@ def _sizes(n: int, k: int) -> list[int]:
     classes of n.  The block of part j lists ``(j^m, tau)`` for
     m = 1, 2, ..., with tau among the classes of n - m*j with parts
     below j, and ``size(j^m, tau) = n!/((n-m*j)! j^m m!) * size(tau)``."""
-    col = _size.setdefault(n, [1] if n == 0 else [])
-    for j in _blocks(len(col), n, k):
+    col = _size.get(n)
+    if col is None:
+        col = _size[n] = [1] if n == 0 else []
+    row = _rows[n]
+    if len(col) >= row[min(k, n)]:
+        return col
+    for j in range(row.index(len(col)) + 1, min(k, n) + 1):
         f = 1
         for m in range(1, n // j + 1):
             # the ways to pick m disjoint j-cycles from n points
             f = f * perm(n - (m - 1) * j, j) // (j * m)
-            rest = _sizes(n - m * j, j - 1)
-            col += [f * s for s in rest[: count(n - m * j, j - 1)]]
+            rest = n - m * j
+            col += [f * s for s in _sizes(rest, j - 1)[: _rows[rest][min(j - 1, rest)]]]
     return col
 
 
 def size_column(n: int) -> list[int]:
     """Size ``n!/z(rho)`` of each class of n, in class order: the cached list; do not change it."""
-    return _sizes(n, n)
+    col = _size.get(n)
+    if col is None or len(col) < _rows[n][-1]:
+        _row(n)
+        col = _sizes(n, n)
+    return col
 
 
 def character(lam: Partition, rho: Partition) -> int:

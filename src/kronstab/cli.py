@@ -34,9 +34,8 @@ def _parse_triple(text: str, double: bool = False):
 
 def cmd_kron(args) -> int:
     lam, mu, nu = _parse_triple(args.triple)
-    n = sum(lam)
-    print(f"n = {n}")
-    print(kron(lam, mu, nu))
+    value = kron(lam, mu, nu)
+    print(f"n = {sum(lam)}\n{value}")
     return 0
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .partitions import ConsistencyError, Partition, check_partition, format_partition, format_triple, over_cap, partitions_of
 # ``character`` stays a name here: perfbench traces ``plethysm.character``.
-from .characters import character, column, count, size_column
+from .characters import _rows, character, column, size_column
 
 DEGREE_CAP = 24
 BITS = DEGREE_CAP.bit_length()
@@ -90,15 +90,15 @@ _positions: dict[int, int] = {}
 
 def _position(code: int, n: int) -> int:
     """Class position (``characters.rank``) of a coded index of size
-    ``n``.  ``rank`` adds ``count(n', j - 1)`` for each part j, with n'
-    the size left from that part on; for a run of m parts j those terms
-    telescope to ``count(n, j) - count(n - m*j, j)``."""
+    ``n``.  ``rank``'s terms ``count(n', j - 1)`` telescope, for a run of
+    m parts j, to ``count(n, j) - count(n - m*j, j)``, read here from the
+    ``characters._rows`` that the caller's ``column`` of degree n built."""
     r = _positions.get(code)
     if r is None:
         r = 0
         for j, m in _runs(code):
             rest = n - m * j
-            r += count(n, j) - count(rest, j)
+            r += _rows[n][j] - _rows[rest][min(j, rest)]
             n = rest
         _positions[code] = r
     return r

@@ -93,6 +93,19 @@ def cycle_type(perm) -> tuple:
     return tuple(sorted(lengths, reverse=True))
 
 
+def coin_change_counts(top: int) -> list[list[int]]:
+    """``table[k][n]``, the number of partitions of n with parts at most
+    k, for 0 <= n, k <= top: the coin-change count, one part size (coin)
+    added at a time, rather than a recursion on the largest part."""
+    ways = [1] + [0] * top
+    table = [list(ways)]
+    for coin in range(1, top + 1):
+        for v in range(coin, top + 1):
+            ways[v] += ways[v - coin]
+        table.append(list(ways))
+    return table
+
+
 def z_order(rho) -> int:
     """Order of the centralizer of a permutation with cycle type ``rho``:
     the product over cycle sizes i of ``i**m_i * m_i!``."""

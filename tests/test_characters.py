@@ -6,6 +6,7 @@ from kronstab import characters, clear_caches
 from kronstab.characters import (
     KRON_SIZE_CAP,
     _memo,
+    _rows,
     _size,
     beta_mask,
     character,
@@ -17,7 +18,7 @@ from kronstab.characters import (
 from kronstab.kronecker import kron
 from kronstab.partitions import PartitionError, SizeCapError, add_scaled, conjugate, dim_sn, partitions_of
 
-from oracles import character_oracle, z_order
+from oracles import character_oracle, coin_change_counts, z_order
 
 
 def test_against_alternant_oracle():
@@ -121,15 +122,16 @@ def test_clear_one_degree_keeps_the_other_columns():
     values = {rho: character((3, 2, 1), rho) for rho in partitions_of(6)}
     kron(*triple)
     clear_caches()
-    assert not _memo and not _size
+    assert not _memo and not _size and _rows == [[1]]
     assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
     kron(*triple)
     assert 5 in _memo and 5 in _size
     kept = {degree: {m: list(c) for m, c in table.items()} for degree, table in _memo.items() if degree != 5}
     kept_sizes = {degree: list(s) for degree, s in _size.items() if degree != 5}
+    rows = [list(row) for row in _rows]
     clear_caches(5)
     assert 5 not in _memo and 5 not in _size
-    assert _memo == kept and _size == kept_sizes
+    assert _memo == kept and _size == kept_sizes and _rows == rows
     assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
 
 
@@ -140,6 +142,45 @@ def test_rank_is_the_position_in_class_order():
         assert [count(n, k) for k in range(n + 1)] == [
             sum(1 for rho in classes if not rho or rho[0] <= k) for k in range(n + 1)
         ]
+
+
+def test_counts_against_coin_change():
+    table = coin_change_counts(KRON_SIZE_CAP)
+    for n in range(KRON_SIZE_CAP + 1):
+        assert [count(n, k) for k in range(n + 1)] == [table[k][n] for k in range(n + 1)], n
+    assert count(0, 0) == 1
+    assert [count(n, 0) for n in range(1, 6)] == [0] * 5
+    assert count(7, 8) == count(7, 100) == count(7, 7) == 15
+    assert count(-1, 0) == count(-3, 5) == 0
+
+
+def test_rows_grown_at_once_or_one_degree_at_a_time():
+    clear_caches()
+    count(40, 1)
+    at_once = [list(row) for row in _rows]
+    clear_caches()
+    for n in range(41):
+        count(n, n)
+    assert len(at_once) == 41 and _rows == at_once
+    clear_caches()
+
+
+def test_size_column_of_a_built_degree_is_one_lookup(monkeypatch):
+    clear_caches()
+    sizes = size_column(20)
+    inner = characters._sizes
+    calls = []
+
+    def spy(n, k):
+        calls.append((n, k))
+        return inner(n, k)
+
+    monkeypatch.setattr(characters, "_sizes", spy)
+    assert size_column(20) is sizes and calls == []
+    # Degree 19 holds only the prefix the recursion for 20 needed, so it
+    # is extended through the block loop.
+    assert len(size_column(19)) == count(19, 19) and calls
+    clear_caches()
 
 
 def test_size_column_is_n_factorial_over_z():

@@ -30,8 +30,9 @@ def test_kron_parse_error(capsys):
 
 
 def test_kron_size_cap(capsys):
-    code, _, err = run(capsys, "kron", "51 / 51 / 51")
-    assert code == 1
+    # A rejected query prints no partial answer.
+    code, out, err = run(capsys, "kron", "51 / 51 / 51")
+    assert code == 1 and out == ""
     assert err == "error: size 51 of 51 / 51 / 51 exceeds the desk-scale limit of 50\n"
 
 
@@ -40,10 +41,10 @@ def test_kron_size_mismatch_names_the_triple(capsys):
         "error: sizes 3, 3, 1 of 2,1 / 2,1 / 1 differ;"
         " all three partitions must have the same size\n"
     )
-    code, _, err = run(capsys, "kron", "2,1 / 2,1 / 1")
-    assert code == 1 and err == expected
-    code, _, err = run(capsys, "dreal", "murnaghan", "2,1 / 2,1 / 1")
-    assert code == 1 and err == expected
+    code, out, err = run(capsys, "kron", "2,1 / 2,1 / 1")
+    assert code == 1 and out == "" and err == expected
+    code, out, err = run(capsys, "dreal", "murnaghan", "2,1 / 2,1 / 1")
+    assert code == 1 and out == "" and err == expected
 
 
 def test_bound_all(capsys):

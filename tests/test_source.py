@@ -45,7 +45,7 @@ def test_star_import_binds_no_modules():
 
 def test_clear_caches_empties_every_cache():
     from kronstab import clear_caches, dim_sn, hyperoct_coeff, kron, lr, plethysm_coeff
-    from kronstab.characters import _memo, _size
+    from kronstab.characters import _memo, _rows, _size
     from kronstab.kronecker import _values, kron_block
     from kronstab.plethysm import _positions
 
@@ -55,8 +55,10 @@ def test_clear_caches_empties_every_cache():
     hyperoct_coeff(((1,), (1,)), ((1,), (1,)), ((1, 1), ()))
     plethysm_coeff((2,), (2,), (4,))
     dim_sn((3, 1))
+    held = len(_rows)
     sizes = clear_caches()
     assert [name for name, size in sizes.items() if not size] == []
+    assert sizes["characters._rows"] == held > 1 and _rows == [[1]]
     modules = [importlib.import_module(f"kronstab.{m.name}") for m in pkgutil.iter_modules(kronstab.__path__)]
     cached = [
         f"{module.__name__}.{name}" for module in modules for name, value in vars(module).items()
@@ -76,18 +78,30 @@ def test_exactness_errors_survive_optimisation():
         assert not issubclass(error, AssertionError)
 
 
+def _fresh_import(code: str) -> str:
+    """Standard output of ``code`` run after ``import kronstab`` in a new
+    interpreter."""
+    path = os.pathsep.join([str(Path(kronstab.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys, kronstab; {code}"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+
+
 def test_import_loads_no_fractions():
     # Exact values are integers over one denominator; importing
     # ``fractions`` (and the ``decimal`` it pulls in) would only add to
     # the start-up time of every process.  The records are named tuples,
     # so ``dataclasses`` (and the ``inspect`` it pulls in) stay out too.
-    path = os.pathsep.join([str(Path(kronstab.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
     unwanted = {"fractions", "decimal", "dataclasses", "inspect"}
-    loaded = subprocess.run(
-        [sys.executable, "-c", f"import sys, kronstab; print(sorted({unwanted!r} & set(sys.modules)))"],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
-    ).stdout
-    assert loaded == "[]\n"
+    assert _fresh_import(f"print(sorted({unwanted!r} & set(sys.modules)))") == "[]\n"
+
+
+def test_import_builds_no_class_count_rows():
+    # The rows of class counts are grown when a column or class sizes
+    # first need them; building them at import would add to the start-up
+    # time of every process.
+    assert _fresh_import("print(len(kronstab.characters._rows))") == "1\n"
 
 
 def test_product_expansion_independent_of_lr():
