@@ -200,6 +200,20 @@ def tau_squares(
     return [([_small(lam, u, *p), _small(mu, v, *p[::-1]), big], 2) for p in ((0, 1), (1, 0))]
 
 
+def tau_E2(
+    lam: Partition, mu: Partition, nu: Partition
+) -> tuple[list[ScenarioFactor], int]:
+    """A third scenario for the two-box growth direction: both small
+    spaces carry (0, 1, -1, ..., -1), with weights 0 and 1 pinned at
+    the first two positions of each flag in the same order; the dual
+    tensor factor keeps the last position on weight 0."""
+    n1, n2 = len(lam), len(mu)
+    if n1 < 2 or n2 < 2:
+        raise ScenarioError("both factor partitions need length >= 2")
+    u, v = ([0, 1] + [-1] * (n - 2) for n in (n1, n2))
+    return [_small(lam, u, 0, 1), _small(mu, v, 0, 1), _tensor(nu, [(u, v)], last=(0,))], 2
+
+
 def tau_B(
     lam: Partition, mu: Partition, nu: Partition
 ) -> tuple[list[ScenarioFactor], int]:

@@ -13,6 +13,11 @@ multiplicity of the part j sits in a bit field of width ``BITS`` at bit
 ``DEGREE_CAP < 1 << BITS``, so no field overflows and the product of
 ``p_rho`` and ``p_sigma`` is ``p`` of the sum of their codes.  Codes
 compare as their partitions do lexicographically, largest part first.
+
+A composition f[g] splits each index of f into its runs of m equal
+parts k, builds once the powers ``p_k[g] ** m`` that those runs use,
+and takes each ``p_rho[g]`` as a product over the distinct parts of
+rho: at most four factors at degree 12, rather than one per part.
 """
 
 from math import factorial, gcd
@@ -104,6 +109,38 @@ def _position(code: int, n: int) -> int:
     return r
 
 
+def _times(x: dict[int, int], y: dict[int, int], out: dict[int, int] | None = None) -> dict[int, int]:
+    """Product of two power-sum elements held as numerators by code,
+    added into ``out`` when given.  Against the code 0 of ``p_()`` the
+    keys of ``y`` are reused, not rebuilt as sums, so a result that
+    copies a power shares its key objects."""
+    if out is None:
+        out = {}
+    for idx, c in x.items():
+        if idx:
+            for s, b in y.items():
+                key = idx + s
+                out[key] = out.get(key, 0) + c * b
+        else:
+            for s, b in y.items():
+                out[s] = out.get(s, 0) + c * b
+    return out
+
+
+def _square(x: dict[int, int]) -> dict[int, int]:
+    """``_times(x, x)`` over unordered pairs of terms: each cross term
+    once, doubled."""
+    out: dict[int, int] = {}
+    terms = list(x.items())
+    for i, (s, b) in enumerate(terms):
+        out[s + s] = out.get(s + s, 0) + b * b
+        b += b
+        for idx, c in terms[i + 1:]:
+            key = idx + s
+            out[key] = out.get(key, 0) + c * b
+    return out
+
+
 def _compose(f: SymFunc, g: SymFunc) -> tuple[dict[int, int], int]:
     """Plethysm in the power-sum basis: numerators by code, over one
     common denominator.
@@ -111,28 +148,40 @@ def _compose(f: SymFunc, g: SymFunc) -> tuple[dict[int, int], int]:
     ``p_k`` composed with ``g`` multiplies every index of ``g`` by
     ``k``; composition is extended multiplicatively over the parts of
     each index ``rho`` of ``f``, with the coefficients of ``f`` left
-    fixed.  That product lies over ``g.denom ** len(rho)``, so each term
-    is scaled by ``g.denom ** (deg f - len(rho))`` to put every term over
+    fixed.  A run of m parts k contributes the power ``p_k[g] ** m``,
+    built once per call: an even power as the square of its half, an
+    odd one as the power below times ``p_k[g]``.  The product over the
+    runs of ``rho`` lies over ``g.denom ** len(rho)``, so each term is
+    scaled by ``g.denom ** (deg f - len(rho))`` to put every term over
     ``f.denom * g.denom ** deg f``.
     """
     deg = f.degree()
     if deg * g.degree() > DEGREE_CAP:
         raise over_cap(f"degree {deg * g.degree()} of the composition", DEGREE_CAP)
-    scaled: dict[int, list[tuple[int, int]]] = {}  # p_k[g] for each part k
+    built: dict[tuple[int, int], dict[int, int]] = {}  # (p_k[g]) ** m by (k, m)
+
+    def power(k: int, m: int) -> dict[int, int]:
+        p = built.get((k, m))
+        if p is None:
+            if m == 1:
+                p = {_code(sigma, k): b for sigma, b in g.coeffs}
+            elif m % 2:
+                p = _times(power(k, 1), power(k, m - 1))
+            else:
+                p = _square(power(k, m // 2))
+            built[k, m] = p
+        return p
+
+    powers = {run: power(*run) for rho, _ in f.coeffs for run in _runs(_code(rho))}
+    built.clear()  # keep only the powers that some run uses
     out: dict[int, int] = {}
     for rho, a in f.coeffs:
+        # The empty index is p_() = 1.
+        factors = [powers[run] for run in _runs(_code(rho))] or [{0: 1}]
         partial = {0: a * g.denom ** (deg - len(rho))}
-        for k in rho:
-            if k not in scaled:
-                scaled[k] = [(_code(sigma, k), b) for sigma, b in g.coeffs]
-            nxt: dict[int, int] = {}
-            for s, b in scaled[k]:
-                for idx, c in partial.items():
-                    key = idx + s
-                    nxt[key] = nxt.get(key, 0) + c * b
-            partial = nxt
-        for idx, c in partial.items():
-            out[idx] = out.get(idx, 0) + c
+        for p in factors[:-1]:
+            partial = _times(partial, p)
+        _times(partial, factors[-1], out)
     return out, f.denom * g.denom ** deg
 
 
@@ -163,6 +212,6 @@ def plethysm_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     coeff, rem = divmod(total, denom)
     if rem or coeff < 0:
         raise ConsistencyError(
-            f"plethysm coefficient came out {total}/{denom} for {lam}, {mu}, {nu}"
+            f"plethysm coefficient came out {total}/{denom} for {format_triple((lam, mu, nu))}"
         )
     return coeff

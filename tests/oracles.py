@@ -5,7 +5,9 @@ the library code: characters come from explicit polynomial alternants,
 Kronecker coefficients from element-by-element group averaging, LR
 coefficients from filtered brute-force fillings, plethysm from weight
 multisets of composed Schur polynomials, and hyperoctahedral
-coefficients from an explicitly constructed wreath-product group.  The
+coefficients from an explicitly constructed wreath-product group.
+Kronecker coefficients with a shape of at most two rows also come from
+LR coproduct rows, with no character at all.  The
 power-sum helpers at the end are not independent: they are the plain
 forms, over partition tuples and rationals, of what the plethysm engine
 does with coded indices.
@@ -17,6 +19,7 @@ from functools import cache
 from math import gcd
 
 from kronstab.characters import column, rank
+from kronstab.lr import _skew
 from kronstab.partitions import partitions_of
 from kronstab.plethysm import SymFunc
 
@@ -135,6 +138,25 @@ def kron_oracle(alpha, beta, gamma) -> int:
         count += 1
     assert total % count == 0
     return total // count
+
+
+def two_row_kron(alpha, beta, gamma) -> int:
+    """The Kronecker coefficient for a shape ``gamma = (a, b)`` of at most
+    two rows, with no character: by Jacobi-Trudi s_(a,b) = h_a h_b -
+    h_(a+1) h_(b-1), and the coefficient of h_a h_(n-a) in s_alpha *
+    s_beta is R(a), the sum over rho of size a and every sigma of
+    c^alpha_(rho sigma) c^beta_(rho sigma).  R is read from the
+    coproduct rows of ``lr``."""
+    a = gamma[0] if gamma else 0
+    return _coproduct_pairing(alpha, beta, a) - _coproduct_pairing(alpha, beta, a + 1)
+
+
+def _coproduct_pairing(alpha, beta, a: int) -> int:
+    total = 0
+    for rho in partitions_of(a) if a <= sum(alpha) else ():
+        row = _skew(rho, beta)
+        total += sum(c * row.get(sigma, 0) for sigma, c in _skew(rho, alpha).items())
+    return total
 
 
 # ---------------------------------------------------------------------------

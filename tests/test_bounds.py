@@ -13,7 +13,9 @@ from kronstab.bounds import (
     bound_DB_improved,
     bound_DBOR2,
     bound_DBOR2_improved,
+    bound_D2E2,
     bound_Dm,
+    bound_E2,
     bound_hyperoct,
     bound_values,
 )
@@ -94,8 +96,9 @@ def test_degenerate_triples():
     assert bound_values("murnaghan", (3,), (3,), (2, 1))["D1"] == 0
     with pytest.raises(DegenerateTripleError):
         bound_D1((3,), (3,), (2, 1), minimize_over_orderings=False)
-    with pytest.raises(DegenerateTripleError):
-        bound_D2((3,), (2, 1), (2, 1))
+    for squares in (bound_D2, bound_E2, bound_D2E2):
+        with pytest.raises(DegenerateTripleError):
+            squares((3,), (2, 1), (2, 1))
     with pytest.raises(DegenerateTripleError):
         bound_hyperoct(((3,), (1, 1)), ((2, 2), (1,)), ((2, 1, 1), (1,)))
 
@@ -135,6 +138,18 @@ def test_hyperoct_bound_validates_halves():
 def test_two_box_bound_swap_symmetric():
     for lam, mu, nu in _random_triples(30, seed=17):
         assert bound_D2(lam, mu, nu) == bound_D2(mu, lam, nu)
+        assert bound_E2(lam, mu, nu) == bound_E2(mu, lam, nu)
+
+
+def test_squares_maximum_covers_where_d2_fails():
+    # D2 is 0 on this triple but its sequence is 1, 2, 2, 2; E2 is 1.
+    assert bound_D2((3, 1), (3, 1), (2, 2)) == 0
+    assert bound_E2((3, 1), (3, 1), (2, 2)) == bound_D2E2([3, 1], [3, 1], [2, 2]) == 1
+    # On table 3.6.2 the maximum raises rows 2, 4, 10 and 12 above D2.
+    raised = {i: (bound_D2(*row.triple), bound_D2E2(*row.triple))
+              for i, row in enumerate(TABLE_2.rows, 1)
+              if bound_D2E2(*row.triple) != bound_D2(*row.triple)}
+    assert raised == {2: (5, 6), 4: (4, 5), 10: (1, 2), 12: (2, 4)}
 
 
 def test_reordering_only_helps():
@@ -173,7 +188,7 @@ def test_bound_values():
     values = bound_values("murnaghan", *TABLE_1.rows[0].triple)
     assert list(values) == ["D1", "DB", "DB_improved", "DBOR2", "DBOR2_improved", "Dm"]
     assert values["D1"] == 6 and values["Dm"] == 5 and values["DB"] == 5
-    assert bound_values("squares", *TABLE_2.rows[9].triple) == {"D2": 1}
+    assert bound_values("squares", *TABLE_2.rows[9].triple) == {"D2": 1, "D2E2": 2}
     double = (((3, 1), (1,)), ((2, 2), (1,)), ((2, 1, 1), (1,)))
     assert bound_values("hyperoct", *double) == {"D_hyperoct": bound_hyperoct(*double)}
     with pytest.raises(ValueError):

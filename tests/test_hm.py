@@ -11,6 +11,7 @@ from kronstab.bounds import (
     bound_DB_improved,
     bound_DBOR2,
     bound_DBOR2_improved,
+    bound_E2,
     bound_hyperoct,
     dbor2_improved_fixed,
     dbor2_improvement_orderings,
@@ -25,6 +26,7 @@ from kronstab.hm import (
     tau0_murnaghan,
     tau_B,
     tau_BOR2,
+    tau_E2,
     tau_squares,
 )
 from kronstab.fixtures import TABLE_1, TABLE_2
@@ -170,6 +172,7 @@ def _scenario_and_closed_form(lam, mu, nu):
             max(hm_bound(*s) for s in tau_squares(lam, mu, nu)),
             bound_D2(lam, mu, nu),
         )
+        pairs["E2"] = (hm_bound(*tau_E2(lam, mu, nu)), bound_E2(lam, mu, nu))
     if min(n1, n2, n3) >= 2:
         rotations = ((lam, mu, nu), (mu, nu, lam), (nu, lam, mu))
         pairs["DB_improved"] = (

@@ -17,6 +17,21 @@ def test_against_group_average_oracle():
             assert kron(a, b, c) == kron_oracle(a, b, c)
 
 
+def test_against_two_row_coproduct_oracle():
+    # Every multiset of three shapes of size n <= 9 with a shape of at
+    # most two rows, that shape last: 4 482 triples, no character used.
+    from oracles import two_row_kron
+
+    triples = 0
+    for n in range(1, 10):
+        ps = partitions_of(n)
+        for gamma in (p for p in ps if len(p) <= 2):
+            for a, b in itertools.combinations_with_replacement(ps, 2):
+                assert kron(a, b, gamma) == two_row_kron(a, b, gamma), (a, b, gamma)
+                triples += 1
+    assert triples == 4482
+
+
 def test_symmetric_in_all_arguments():
     for n in range(2, 6):
         ps = partitions_of(n)

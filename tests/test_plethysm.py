@@ -3,10 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from kronstab.partitions import SizeCapError, dim_gl, partitions_of
+from kronstab import plethysm
+from kronstab.partitions import ConsistencyError, SizeCapError, dim_gl, partitions_of
 from kronstab.plethysm import (
     BITS,
     DEGREE_CAP,
+    SymFunc,
+    _compose,
     plethysm_coeff,
     plethysm_powersum,
     schur_to_powersum,
@@ -54,6 +57,37 @@ def test_coded_composition_on_benchmark_pairs():
         comp = _composition_agrees(lam, mu)
         # The last index is p_1 to the degree: the widest field, full.
         assert comp.coeffs[-1][0] == (1,) * comp.degree()
+
+
+def test_coded_composition_with_long_runs():
+    # One-row and one-column outer shapes put runs of up to 13 equal
+    # parts in their indices, so powers of p_k[g] up to the 13th are
+    # built, by squares and by products, at degrees 13 to 24.
+    outers = [(m,) for m in range(7, 13)] + [(1,) * m for m in range(7, 13)]
+    for lam in outers:
+        for mu in ((2,), (1, 1)):
+            _composition_agrees(lam, mu)
+    for lam in ((13,), (1,) * 13, (8,), (2, 2, 2, 1, 1)):
+        for mu in ((1,), (3,), (2, 1), (1, 1, 1)):
+            if sum(lam) * sum(mu) <= DEGREE_CAP:
+                _composition_agrees(lam, mu)
+
+
+def test_coded_composition_with_big_squares():
+    # An outer shape of size 2 squares p_1[g] for an inner shape of size
+    # 10 to 12: up to 77 terms, at degrees 20 to 24.
+    inners = ((10,), (6, 4), (4, 3, 2, 1), (11,), (5, 3, 2, 1), (12,), (3, 3, 3, 3), (7, 2, 2, 1))
+    for lam in ((2,), (1, 1)):
+        for mu in inners:
+            _composition_agrees(lam, mu)
+
+
+def test_empty_index_composes_to_its_coefficient():
+    # p_() = 1 composed with anything is 1: no factor, and the coefficient
+    # over its own denominator.
+    for g in (schur_to_powersum((2, 1)), schur_to_powersum(())):
+        assert _compose(SymFunc((((), 3),), 4), g) == ({0: 3}, 4)
+        assert _compose(schur_to_powersum(()), g) == ({0: 1}, 1)
 
 
 def test_composition_degree_cap():
@@ -165,6 +199,22 @@ def test_empty_shapes():
     for lam, expected in (((), 1), ((2,), 1), ((3,), 1), ((1, 1), 0), ((2, 1), 0)):
         assert plethysm_coeff(lam, (), ()) == expected
     assert plethysm_coeff((), (2, 1), ()) == 1
+
+
+COLUMN = plethysm.column
+
+
+@pytest.mark.parametrize("edit, message", [
+    # s_2[s_2] holds s_4 once: 8/8 with the true column.
+    (lambda col: col[:-1] + [col[-1] + 1], "plethysm coefficient came out 10/8 for 2 / 2 / 4"),
+    (lambda col: [-v for v in col], "plethysm coefficient came out -8/8 for 2 / 2 / 4"),
+])
+def test_exactness_check_names_the_triple(monkeypatch, edit, message):
+    # Only the final lookup passes a largest part, so only it is edited.
+    monkeypatch.setattr(plethysm, "column", lambda nu, *top: edit(COLUMN(nu, *top)) if top else COLUMN(nu))
+    with pytest.raises(ConsistencyError) as err:
+        plethysm_coeff((2,), (2,), (4,))
+    assert str(err.value) == message
 
 
 def test_lists_are_accepted():

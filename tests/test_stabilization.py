@@ -1,10 +1,10 @@
 import pytest
 
 from kronstab import stabilization
-from kronstab.bounds import FAMILIES, bound_D1, bound_D2, bound_Dm, bound_hyperoct
+from kronstab.bounds import FAMILIES, bound_D1, bound_D2, bound_Dm, bound_hyperoct, bound_values
 from kronstab.lr import lr
 from kronstab.fixtures import TABLE_1, TABLE_2
-from kronstab.partitions import ConsistencyError
+from kronstab.partitions import ConsistencyError, add_scaled
 from kronstab.stabilization import (
     CertificateViolationError,
     d_real,
@@ -19,6 +19,28 @@ HYPEROCT = FAMILIES["hyperoct"].direction
 # cheap reference rows (small degrees): index -> expected d_real
 CHEAP_1 = {1: 3, 3: 4, 7: 3, 8: 0, 9: 1}
 CHEAP_2 = {4: 3, 6: 2, 9: 1, 10: 0, 11: 1}
+
+
+# Rows whose direction keeps a shape of at most two rows, so that every
+# term can be checked by an oracle that uses no character.
+TWO_ROW_ROWS = [(TABLE_1, i) for i in (4, 8, 11)] + [(TABLE_2, i) for i in range(7, 13)]
+
+
+@pytest.mark.parametrize("table, index", TWO_ROW_ROWS,
+                         ids=[f"{table.table_id}-row{i}" for table, i in TWO_ROW_ROWS])
+def test_margin_terms_of_two_row_rows_match_the_coproduct_oracle(table, index):
+    # The terms d_real reads the limit from, from the certified bound to
+    # the margin (n up to 33), against LR coproduct rows.
+    from oracles import two_row_kron
+
+    base = table.rows[index - 1].triple
+    family = FAMILIES[table.family]
+    bound = bound_values(table.family, *base)[family.certified]
+    for d in range(bound, bound + 3):
+        triple = tuple(add_scaled(p, d, a) for p, a in zip(base, family.direction))
+        short = next(i for i, p in enumerate(triple) if len(p) <= 2)
+        a, b, c = triple[short + 1:] + triple[:short + 1]
+        assert two_row_kron(a, b, c) == sequence_term(base, family.direction, d)
 
 
 def test_sequence_term_examples():
