@@ -12,7 +12,6 @@ parts, and sizes (total sizes) that agree.  Bounds built from others
 call their unchecked cores.
 """
 
-from itertools import permutations
 from typing import NamedTuple
 
 from .partitions import DoublePartition, Partition, check_triple, format_triple, is_double, part_at
@@ -93,9 +92,9 @@ def _d2(lam: Partition, mu: Partition, nu: Partition) -> int:
     if len(mu) == 2 < len(lam):
         lam, mu = mu, lam
     n1, n2 = len(lam), len(mu)
-    m = max(-part_at(lam, 2) - part_at(mu, 1), -part_at(lam, 1) - part_at(mu, 2))
-    if n1 >= 3:
-        expr = m + part_at(lam, 3) + part_at(mu, 3) + _one_box_tail(nu, n1 + n2 - 4, n1 * n2)
+    m = max(-lam[1] - mu[0], -lam[0] - mu[1])
+    if n1 >= 3:  # then mu has three rows too, or the swap above would have run
+        expr = m + lam[2] + mu[2] + _one_box_tail(nu, n1 + n2 - 4, n1 * n2)
     else:
         expr = m + part_at(mu, 3) + 2 * part_at(nu, 2) - part_at(nu, 2 * n2) + sum(nu[2:n2 + 1])
     return max(0, _ceil_half(expr))
@@ -182,8 +181,8 @@ def dbor2_improved_fixed(lam: Partition, mu: Partition, nu: Partition) -> int:
     _check_two_rows(lam, mu, nu)
     P = n1 * n2
     expr = (
-        -part_at(lam, 1) + part_at(lam, 2)
-        + 2 * part_at(mu, 2) + sum(mu) - part_at(mu, 1) - part_at(mu, 2)
+        -lam[0] + lam[1]
+        + 2 * mu[1] + sum(mu) - mu[0] - mu[1]
         - part_at(nu, 1) + part_at(nu, 2)
         - sum(nu[n1 + n2 - 2:P - n1 - n2 + 2])
         - 2 * sum(nu[P - n1 - n2 + 2:P - 1])
@@ -199,12 +198,13 @@ def dbor2_improvement_orderings(
     valid: the weight pattern behind it needs at least three rows in
     each of the first two partitions, and a third partition reaching
     position len(a)+len(b)-1 (otherwise the refinement subtracts nothing
-    and only the unimproved floor form is available)."""
-    out = []
-    for a, b, c in permutations((lam, mu, nu)):
+    and only the unimproved floor form is available).  Only a partition
+    two rows longer than both others can be third, so at most one is;
+    the other two follow in both orders, as ``permutations`` lists them."""
+    for a, b, c in ((lam, mu, nu), (lam, nu, mu), (mu, nu, lam)):
         if len(a) >= 3 and len(b) >= 3 and len(c) >= len(a) + len(b) - 1:
-            out.append((a, b, c))
-    return out
+            return [(a, b, c), (b, a, c)]
+    return []
 
 
 def bound_DBOR2_improved(lam: Partition, mu: Partition, nu: Partition) -> int:

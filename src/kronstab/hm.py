@@ -8,15 +8,18 @@ position when the factor sits under a projectivized dual with a fixed
 kernel.
 
 The maximizer returns the largest achievable total objective over all
-admissible assignments of weights to positions.  The pinned prefix takes
-its weights first; the free positions are paired with the remaining
-weights by sorting both (rearrangement inequality), trying each allowed
-weight for a restricted last position.  ``solve_assignment`` is a
+admissible assignments of weights to positions.  The weights are sorted
+once; the pinned prefix takes its weights out of that list by bisection,
+and the free positions, sorted, are paired with what is left in order
+(rearrangement inequality), trying each allowed weight, also taken out
+by bisection, for a restricted last position.  ``solve_assignment`` is a
 general exact assignment solver that no scenario needs; it stays because
 the benchmark's call tracer (``perfbench/calltrace.py``) lists it among
 its sites.
 """
 
+from bisect import bisect_left
+from operator import mul, neg
 from typing import NamedTuple
 
 from .partitions import Partition
@@ -80,34 +83,33 @@ def solve_assignment(profit: list[list[int]]) -> int:
     return sum(profit[match[j] - 1][j - 1] for j in range(1, n + 1))
 
 
-def _pair(coeffs: tuple[int, ...], weights: list[int]) -> int:
-    """The largest sum of coefficient times weight over all pairings:
-    both sorted the same way."""
-    return sum(c * w for c, w in zip(sorted(coeffs), sorted(weights)))
-
-
 def _max_factor(factor: ScenarioFactor) -> int:
-    coeffs, pins, last = factor.coeffs, factor.pinned, factor.last
+    coeffs, weights, pins, last = factor
     n, k = len(coeffs), len(pins)
-    if len(factor.weights) != n:
-        raise ScenarioError(f"{len(factor.weights)} weights for {n} flag positions")
-    pool = list(factor.weights)
+    if len(weights) != n:
+        raise ScenarioError(f"{len(weights)} weights for {n} flag positions")
+    pool = sorted(weights)
     for w in pins:
-        if w not in pool:
+        i = bisect_left(pool, w)
+        if pool[i:i + 1] != [w]:
             raise ScenarioError(f"pinned weight {w} not available")
-        pool.remove(w)
-    total = sum(c * w for c, w in zip(coeffs, pins))
+        del pool[i]
+    total = sum(map(mul, coeffs, pins))
     if last is None:
-        return total + _pair(coeffs[k:], pool)
+        return total + sum(map(mul, sorted(coeffs[k:]), pool))
     if k == n > 0:
         if pins[-1] not in last:
             raise ScenarioError(f"pinned weight {pins[-1]} not allowed in the last position")
         return total
+    free = sorted(coeffs[k:-1])
     candidates = []
-    for w in set(last).intersection(pool):
-        rest = pool.copy()
-        rest.remove(w)
-        candidates.append(coeffs[-1] * w + _pair(coeffs[k:-1], rest))
+    for w in set(last):
+        i = bisect_left(pool, w)
+        if pool[i:i + 1] == [w]:
+            # pool without its entry i, still sorted, against the free positions
+            candidates.append(
+                coeffs[-1] * w + sum(map(mul, free[:i], pool)) + sum(map(mul, free[i:], pool[i + 1:]))
+            )
     if not candidates:
         raise ScenarioError("no admissible weight for the last position")
     return total + max(candidates)
@@ -116,7 +118,7 @@ def _max_factor(factor: ScenarioFactor) -> int:
 def hm_max_destabilization(factors: list[ScenarioFactor]) -> int:
     """Maximum of the negated line-bundle weight over the fiber: the sum
     of per-factor maxima (the factors are independent)."""
-    return sum(_max_factor(f) for f in factors)
+    return sum(map(_max_factor, factors))
 
 
 def hm_bound(factors: list[ScenarioFactor], mu_lbar: int) -> int:
@@ -145,7 +147,7 @@ def _parts(objective: Partition, dim: int) -> tuple[int, ...]:
 def _small(objective: Partition, weights: list[int], *pins: int) -> ScenarioFactor:
     """A small space's flag, with ``pins`` at its first positions."""
     return ScenarioFactor(
-        tuple(-p for p in _parts(objective, len(weights))), tuple(weights), pins
+        tuple(map(neg, _parts(objective, len(weights)))), tuple(weights), pins
     )
 
 

@@ -30,11 +30,20 @@ DoublePartition = tuple[Partition, Partition]
 def check_partition(lam) -> Partition:
     """Validate and return ``lam`` as a partition tuple.
 
-    Parts must be positive integers in weakly decreasing order.
+    Parts must be positive ints, not bools, in weakly decreasing order.
     """
     lam = tuple(lam)
+    # One pass for the common case; the loops below name what is wrong.
+    prev = lam[0] if lam else 1
     for p in lam:
-        if not isinstance(p, int) or p <= 0:
+        if type(p) is not int or p > prev:
+            break
+        prev = p
+    else:
+        if prev > 0:
+            return lam
+    for p in lam:
+        if not isinstance(p, int) or isinstance(p, bool) or p <= 0:
             raise PartitionError(f"parts must be positive integers, got {p!r}")
     for a, b in zip(lam, lam[1:]):
         if a < b:
@@ -112,8 +121,9 @@ def total_size(alpha: DoublePartition) -> int:
 
 
 def is_double(triple) -> bool:
-    """Whether a triple holds double partitions, as lists or tuples alike."""
-    return not all(isinstance(p, int) for p in triple[0])
+    """Whether a triple holds double partitions: its first entry holds
+    lists or tuples, so a float part is left to ``check_partition``."""
+    return bool(triple[0]) and all(isinstance(p, (tuple, list)) for p in triple[0])
 
 
 def format_triple(triple) -> str:

@@ -102,6 +102,9 @@ def d_real(
     equal values; the sequence is evaluated on [0, bound + margin] and
     must be constant on [bound, bound + margin].
     """
+    for value in (certified_bound, margin):
+        if not isinstance(value, int):
+            raise ValueError(f"bound and margin must be integers, got {value!r}")
     if certified_bound < 0 or margin < 0:
         raise ValueError("bound and margin must be nonnegative")
     horizon = certified_bound + margin
@@ -120,6 +123,8 @@ def empirical_scan(base, direction, horizon: int) -> StabilizationResult:
     """Uncertified scan along a custom direction: reports the first
     index from which the computed values agree up to the horizon, with
     no claim beyond it."""
+    if not isinstance(horizon, int):
+        raise ValueError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     seq = _sequence(base, direction, horizon)

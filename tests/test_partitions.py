@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kronstab.bounds import bound_values
+from kronstab.kronecker import kron
 from kronstab.partitions import (
     PartitionError,
     add_scaled,
@@ -50,9 +52,31 @@ def test_parse_format_round_trip(lam):
 
 
 def test_check_partition_rejects():
-    for bad in ((1, 2), (2, -1), (0,)):
-        with pytest.raises(PartitionError):
+    # Each bad input, and the text its message must name; a float, a
+    # bool or a string part fails the fast check and is named by the loop.
+    table = [
+        ((1.0,), "1.0"),
+        ((2, True), "True"),
+        (("1",), "'1'"),
+        ((0,), "0"),
+        ((2, -1), "-1"),
+        ((1, 2), "(1, 2)"),
+        ((2, (1,)), "(1,)"),
+    ]
+    for bad, named in table:
+        with pytest.raises(PartitionError) as info:
             check_partition(bad)
+        assert named in str(info.value), bad
+    assert check_partition([3, 1, 1]) == check_partition((3, 1, 1)) == (3, 1, 1)
+    assert check_partition([]) == check_partition(()) == ()
+
+
+def test_bool_parts_rejected():
+    # True == 1, so these calls once returned values for a triple of bools.
+    with pytest.raises(PartitionError, match="got True"):
+        kron((True, True), (2,), (1, 1))
+    with pytest.raises(PartitionError, match="got True"):
+        bound_values("murnaghan", (2, True), (2, 1), (3,))
 
 
 @given(partitions)

@@ -23,6 +23,23 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_exactness_errors_raise_under_python_O():
+    # Both exactness errors in a real ``python -O`` run: a class sum that does
+    # not divide, and bound 0 for 3,1 / 3,1 / 2,2 along the squares
+    # direction, whose sequence is 1, 2, 2, 2.
+    code = (
+        "from kronstab.kronecker import _multiplicity\n"
+        "for call in (lambda: _multiplicity(7, 6, (3,), (3,), (3,)),\n"
+        "             lambda: kronstab.d_real(((3, 1), (3, 1), (2, 2)), kronstab.FAMILIES['squares'].direction, 0)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except (kronstab.ConsistencyError, kronstab.CertificateViolationError) as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "print(sys.flags.optimize)"
+    )
+    assert _fresh_import(code, "-O") == "ConsistencyError\nCertificateViolationError\n1\n"
+
+
 def test_only_partitions_builds_size_cap_errors():
     # Every cap error goes through ``partitions.over_cap``, so all share
     # one message form.
@@ -78,12 +95,12 @@ def test_exactness_errors_survive_optimisation():
         assert not issubclass(error, AssertionError)
 
 
-def _fresh_import(code: str) -> str:
+def _fresh_import(code: str, *flags: str) -> str:
     """Standard output of ``code`` run after ``import kronstab`` in a new
-    interpreter."""
+    interpreter started with ``flags``."""
     path = os.pathsep.join([str(Path(kronstab.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
-        [sys.executable, "-c", f"import sys, kronstab; {code}"],
+        [sys.executable, *flags, "-c", f"import sys, kronstab; {code}"],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     ).stdout
 

@@ -4,7 +4,7 @@ from kronstab import stabilization
 from kronstab.bounds import FAMILIES, bound_D1, bound_D2, bound_Dm, bound_hyperoct, bound_values
 from kronstab.lr import lr
 from kronstab.fixtures import TABLE_1, TABLE_2
-from kronstab.partitions import ConsistencyError, add_scaled
+from kronstab.partitions import ConsistencyError, PartitionError, add_scaled
 from kronstab.stabilization import (
     CertificateViolationError,
     d_real,
@@ -197,3 +197,17 @@ def test_invalid_inputs():
         d_real(((1,), (1,), (1,)), ONE_BOX, -1)
     with pytest.raises(ValueError):
         empirical_scan(((1,), (1,), (1,)), ONE_BOX, -2)
+    # non-integers are named here, not by ``range`` deep inside
+    with pytest.raises(ValueError, match=r"^bound and margin must be integers, got 3\.5$"):
+        d_real(((1,), (1,), (1,)), ONE_BOX, 3.5)
+    with pytest.raises(ValueError, match=r"^bound and margin must be integers, got 2\.0$"):
+        d_real(((1,), (1,), (1,)), ONE_BOX, 2, margin=2.0)
+    with pytest.raises(ValueError, match=r"^horizon must be an integer, got 2\.0$"):
+        empirical_scan(((1,), (1,), (1,)), ONE_BOX, 2.0)
+
+
+def test_float_direction_part_is_named():
+    # A float part marks no double partition: the direction is checked
+    # as partitions and the error names the part.
+    with pytest.raises(PartitionError, match=r"^parts must be positive integers, got 1\.0$"):
+        d_real(((2, 1), (2, 1), (2, 1)), ((1.0,), (1,), (1,)), 3)
