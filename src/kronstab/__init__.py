@@ -45,7 +45,7 @@ from .stabilization import (
 from .characters import _memo, _rows, _size
 from .kronecker import _values
 from .lr import _lr, _skew
-from .partitions import _dim_sn
+from .partitions import _dim_sn, check_count as _check_count
 from .plethysm import _positions
 
 
@@ -56,6 +56,7 @@ def clear_caches(degree: int | None = None) -> dict[str, int]:
     columns, class sizes and values of the degree, or of all degrees."""
     by_degree = {"characters._memo": _memo, "characters._size": _size, "kronecker._values": _values}
     if degree is not None:
+        _check_count(degree, "degree")
         return {name: len(table.pop(degree, ())) for name, table in by_degree.items()}
     sizes = {}
     for name, table in by_degree.items():

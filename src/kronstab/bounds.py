@@ -132,12 +132,7 @@ def bound_DB(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Converted external bound for the murnaghan family, minimized over
     which partition plays the third role (the formula is symmetric in the
     other two)."""
-    lam, mu, nu = check_triple((lam, mu, nu), False)
-
-    def fixed(a, b, c):
-        return max(0, sum(b) - part_at(a, 1) - part_at(b, 1) + part_at(c, 2))
-
-    return min(fixed(lam, mu, nu), fixed(mu, nu, lam), fixed(nu, lam, mu))
+    return _db(*check_triple((lam, mu, nu), False), improved=False)
 
 
 def bound_DB_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -145,14 +140,14 @@ def bound_DB_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
     parts beyond position len(a)+len(b)-1 of the third partition are
     subtracted.  Minimized over the role choice; equals the unimproved
     bound when the third partition is short."""
-    return _db_improved(*check_triple((lam, mu, nu), False))
+    return _db(*check_triple((lam, mu, nu), False), improved=True)
 
 
-def _db_improved(lam: Partition, mu: Partition, nu: Partition) -> int:
+def _db(lam: Partition, mu: Partition, nu: Partition, improved: bool) -> int:
     def fixed(a, b, c):
         n1, n2 = len(a), len(b)
-        tail = sum(c[max(n1 + n2, 1) - 1:n1 * n2])
-        return max(0, -part_at(a, 1) + (sum(b) - part_at(b, 1)) + part_at(c, 2) - tail)
+        tail = sum(c[max(n1 + n2, 1) - 1:n1 * n2]) if improved else 0
+        return max(0, sum(b) - part_at(a, 1) - part_at(b, 1) + part_at(c, 2) - tail)
 
     return min(fixed(lam, mu, nu), fixed(mu, nu, lam), fixed(nu, lam, mu))
 
@@ -225,7 +220,7 @@ def bound_Dm(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The best bound available for the murnaghan family: minimum of the
     reordered one-box bound and both improved converted bounds."""
     triple = check_triple((lam, mu, nu), False)
-    return min(_d1(*triple), _db_improved(*triple), _dbor2_improved(*triple))
+    return min(_d1(*triple), _db(*triple, improved=True), _dbor2_improved(*triple))
 
 
 def bound_hyperoct(lam: DoublePartition, mu: DoublePartition, nu: DoublePartition) -> int:

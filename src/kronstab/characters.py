@@ -31,7 +31,7 @@ from itertools import accumulate
 from math import perm
 from operator import add, neg, sub
 
-from .partitions import Partition, check_partition, format_partition, over_cap
+from .partitions import Partition, PartitionError, check_partition, format_partition, over_cap
 
 # Above the north star's n = 48, where a cold ``kron`` takes a fraction of
 # a second; a full column of n holds p(n) values (p(50) = 204 226).
@@ -164,7 +164,11 @@ def character(lam: Partition, rho: Partition) -> int:
     any order.  Both must have the same size, at most ``KRON_SIZE_CAP``.
     """
     lam = check_partition(lam)
-    rho = check_partition(sorted(rho, reverse=True))
+    try:
+        rho = sorted(rho, reverse=True)
+    except TypeError:
+        raise PartitionError(f"a cycle type is a sequence of positive integers, got {rho!r}") from None
+    rho = check_partition(rho)
     n = sum(lam)
     if n != sum(rho):
         raise ValueError(f"shape {lam} and cycle type {rho} must have equal size")

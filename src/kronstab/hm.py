@@ -145,10 +145,9 @@ def _parts(objective: Partition, dim: int) -> tuple[int, ...]:
 
 
 def _small(objective: Partition, weights: list[int], *pins: int) -> ScenarioFactor:
-    """A small space's flag, with ``pins`` at its first positions."""
-    return ScenarioFactor(
-        tuple(map(neg, _parts(objective, len(weights)))), tuple(weights), pins
-    )
+    """A small space's flag, with ``pins`` at its first positions: one
+    weight per part of ``objective``."""
+    return ScenarioFactor(tuple(map(neg, objective)), tuple(weights), pins)
 
 
 def _tensor(objective: Partition, blocks: list, last: tuple[int, ...] | None = None,

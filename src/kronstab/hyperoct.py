@@ -17,7 +17,7 @@ Kronecker values shared by every block and computed only when missing.
 from itertools import product
 from math import comb
 
-from .partitions import DoublePartition, Partition, PartitionError, check_partition, contains, dim_sn, format_triple, over_cap, parse_partition, partitions_of, total_size
+from .partitions import DoublePartition, Partition, PartitionError, check_count, check_double_partition, contains, dim_sn, format_triple, over_cap, parse_partition, partitions_of, total_size
 # ``kron`` and ``lr`` stay names here: perfbench traces ``hyperoct.kron``
 # and ``hyperoct.lr``.
 from .kronecker import kron, kron_block_unchecked
@@ -34,7 +34,7 @@ def parse_double_partition(text: str) -> DoublePartition:
     >>> parse_double_partition("1;-")
     ((1,), ())
     """
-    if ";" not in text:
+    if not isinstance(text, str) or ";" not in text:
         raise PartitionError(f"double partition needs a ';' separator, got {text!r}")
     plus, _, minus = text.partition(";")
     return parse_partition(plus), parse_partition(minus)
@@ -45,7 +45,7 @@ def dim_wreath(alpha: DoublePartition) -> int:
     choose which copies carry the sign of the order-2 factor, times the
     two symmetric group dimensions.  Both halves are validated, as
     lists or tuples."""
-    plus, minus = map(check_partition, alpha)
+    plus, minus = check_double_partition(alpha)
     return comb(sum(plus) + sum(minus), sum(plus)) * dim_sn(plus) * dim_sn(minus)
 
 
@@ -114,7 +114,8 @@ def hyperoct_coeff(
     alpha-plus with beta-minus, d4 alpha-minus with beta-plus.  Each term
     is a trace around the cycle a - b - b2 - c2 - c - d - d2p - a2.
     """
-    triple = [(check_partition(p), check_partition(m)) for p, m in (alpha, beta, gamma)]
+    triple = [check_double_partition(x) for x in (alpha, beta, gamma)]
+    check_count(size_cap, "size_cap")
     (ap, am), (bp, bm), (gp, gm) = triple
     n = total_size(gamma)
     if total_size(alpha) != n or total_size(beta) != n:

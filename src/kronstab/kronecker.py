@@ -10,7 +10,7 @@ from math import factorial
 from operator import mul
 
 # ConsistencyError and character are re-exported for existing importers.
-from .partitions import ConsistencyError, Partition, check_partition, check_triple, format_partition, format_triple, over_cap
+from .partitions import ConsistencyError, Partition, check_count, check_partition, check_triple, format_partition, format_triple, over_cap
 from .characters import KRON_SIZE_CAP, character, column, size_column
 
 # Block entries by degree, then sorted triple, so memory can be
@@ -118,8 +118,8 @@ def weak_stability_probe(
     probe, not a proof: passing every ``d`` up to the horizon does not
     certify weak stability.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+    alpha, beta, gamma = check_triple((alpha, beta, gamma), False)
+    check_count(horizon, "horizon", 1)
     scale = lambda lam, d: tuple(d * p for p in lam)
     for d in range(1, horizon + 1):
         g = kron(scale(alpha, d), scale(beta, d), scale(gamma, d))

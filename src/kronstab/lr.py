@@ -6,7 +6,7 @@ code, so each checks the other."""
 
 from functools import cache
 
-from .partitions import Partition, check_partition, conjugate, contains, part_at
+from .partitions import Partition, _conjugate, check_partition, contains, part_at
 
 
 def lr(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -126,7 +126,7 @@ def schur_product_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
     # stages
     transpose = bool(lam and mu) and min(len(lam), len(mu)) > min(lam[0], mu[0])
     if transpose:
-        lam, mu = conjugate(lam), conjugate(mu)
+        lam, mu = _conjugate(lam), _conjugate(mu)
     if len(mu) > len(lam):
         lam, mu = mu, lam
     if not mu:
@@ -174,5 +174,5 @@ def schur_product_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
                 merged[key] = merged.get(key, 0) + mult
         states = merged
     if transpose:
-        return {conjugate(nu): c for nu, c in states.items()}
+        return {_conjugate(nu): c for nu, c in states.items()}
     return states

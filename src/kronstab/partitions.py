@@ -5,9 +5,9 @@ The empty partition is ``()``.  All functions treat a partition of length
 is well defined for every ``k >= 1``.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import zip_longest
-from math import factorial
+from math import factorial, inf
 from operator import ge
 
 
@@ -32,7 +32,10 @@ def check_partition(lam) -> Partition:
 
     Parts must be positive ints, not bools, in weakly decreasing order.
     """
-    lam = tuple(lam)
+    try:
+        lam = tuple(lam)
+    except TypeError:
+        raise PartitionError(f"a partition is a sequence of parts, got {lam!r}") from None
     # One pass for the common case; the loops below name what is wrong.
     prev = lam[0] if lam else 1
     for p in lam:
@@ -51,6 +54,21 @@ def check_partition(lam) -> Partition:
     return lam
 
 
+def check_double_partition(alpha) -> DoublePartition:
+    """Validate and return ``alpha`` as a pair (plus, minus) of partitions,
+    the pair and each half a list or a tuple."""
+    if not (isinstance(alpha, (tuple, list)) and len(alpha) == 2 and all(isinstance(h, (tuple, list)) for h in alpha)):
+        raise PartitionError(f"a double partition is a pair of partitions, got {alpha!r}")
+    return check_partition(alpha[0]), check_partition(alpha[1])
+
+
+def check_count(value, name: str, least: int = 0) -> None:
+    """Raise a ``ValueError`` naming the parameter ``name`` unless
+    ``value`` is an ``int``, not a ``bool``, of at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def parse_partition(text: str) -> Partition:
     """Parse a partition from text.
 
@@ -63,6 +81,8 @@ def parse_partition(text: str) -> Partition:
     >>> parse_partition("-")
     ()
     """
+    if not isinstance(text, str):
+        raise PartitionError(f"partition text must be a string, got {text!r}")
     text = text.strip()
     if text in ("-", ""):
         return ()
@@ -95,6 +115,7 @@ def format_partition(lam: Partition) -> str:
     notation, so ``(2, 2, 2, 1, 1, 1, 1)`` renders as ``"2^3,1^4"``.
     The empty partition renders as ``"-"``.
     """
+    lam = check_partition(lam)
     if not lam:
         return "-"
     out = []
@@ -135,12 +156,8 @@ def format_triple(triple) -> str:
 def check_triple(triple, double: bool, what: str = "") -> tuple:
     """Validate three partitions, or three double partitions, whose sizes
     (total sizes) agree; a size error names the triple after ``what``."""
-    if double:
-        triple = tuple((check_partition(p), check_partition(m)) for p, m in triple)
-        sizes = list(map(total_size, triple))
-    else:
-        triple = tuple(map(check_partition, triple))
-        sizes = list(map(sum, triple))
+    triple = tuple(map(check_double_partition if double else check_partition, triple))
+    sizes = list(map(total_size if double else sum, triple))
     if len(set(sizes)) > 1:
         raise ValueError(
             f"sizes {', '.join(map(str, sizes))} of {what}{format_triple(triple)} differ;"
@@ -155,9 +172,10 @@ def over_cap(what: str, cap: int) -> SizeCapError:
 
 
 def part_at(lam: Partition, k: int) -> int:
-    """The k-th part (1-based); zero beyond the length."""
-    if k < 1:
-        raise IndexError("part index is 1-based")
+    """The k-th part (1-based) of the unchecked ``lam``; zero beyond the length."""
+    # check_count's rule, inline: a bound query calls this about 40 times
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     return lam[k - 1] if k <= len(lam) else 0
 
 
@@ -167,19 +185,19 @@ def contains(outer: Partition, inner: Partition) -> bool:
 
 
 def add_scaled(lam: Partition, d: int, pi: Partition) -> Partition:
-    """Return ``lam + d*pi`` part by part, validating the result.
-
-    The result must again be a partition; this holds whenever ``pi`` is a
-    partition and ``d >= 0``, which is the intended use.
-    """
-    if d < 0:
-        raise ValueError("scale factor must be nonnegative")
-    parts = (a + d * b for a, b in zip_longest(lam, pi, fillvalue=0))
-    return check_partition(p for p in parts if p > 0)
+    """Return the partition ``lam + d*pi``, part by part, for partitions
+    ``lam`` and ``pi`` and a count ``d``."""
+    check_count(d, "d")
+    parts = (a + d * b for a, b in zip_longest(check_partition(lam), check_partition(pi), fillvalue=0))
+    return tuple(p for p in parts if p > 0)
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram."""
+    """Transpose of the Young diagram of the partition ``lam``."""
+    return _conjugate(check_partition(lam))
+
+
+def _conjugate(lam: Partition) -> Partition:
     # the columns past lam_{r+1} up to lam_r (1-based) have length r
     padded = (*lam, 0)
     out: list[int] = []
@@ -188,10 +206,14 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(out)
 
 
-@cache
+# typed, so that True and 2.0 do not read the entries of 1 and 2
+@lru_cache(maxsize=None, typed=True)
 def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
-    """All partitions of ``n``, largest part first, in reverse
-    lexicographic order.  Optionally bound the largest part."""
+    """All partitions of ``n`` (none if negative), largest part first, in
+    reverse lexicographic order.  Optionally bound the largest part."""
+    check_count(n, "n", -inf)
+    if max_part is not None:
+        check_count(max_part, "max_part", -inf)
     if n < 0:
         return ()
     if n == 0:
@@ -218,7 +240,7 @@ def _dim_sn(lam: Partition) -> int:
     n = sum(lam)
     if n == 0:
         return 1
-    conj = conjugate(lam)
+    conj = _conjugate(lam)
     hooks = 1
     for i, row in enumerate(lam):
         for j in range(row):
@@ -239,8 +261,7 @@ def dim_gl(lam: Partition, m: int) -> int:
     than ``m`` rows.  ``lam`` is validated first, as a list or a tuple.
     """
     lam = check_partition(lam)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    check_count(m, "m")
     if len(lam) > m:
         return 0
     num = den = 1

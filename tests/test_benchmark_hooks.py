@@ -6,12 +6,14 @@ makes its runs fail.  These tests import the benchmark's own modules and
 run those checks in process.
 """
 
+import ast
 import contextlib
 import importlib
 import io
 import json
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -38,6 +40,28 @@ def tracer():
 
 def test_every_traced_name_exists(tracer):
     assert tracer.missing == []
+
+
+def _resolve(node):
+    """The object a ``name`` or ``name.attr...`` expression of the worker
+    reads, or None."""
+    if isinstance(node, ast.Name):
+        return getattr(worker, node.id, None)
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value), node.attr, None)
+    return None
+
+
+def test_every_worker_name_exists():
+    # Every attribute the worker reads from a kronstab module, such as
+    # ``hm.tau_B`` or ``kronstab.cli.main``: a missing one fails a workload.
+    tree = ast.parse(Path(worker.__file__).read_text())
+    reads = [
+        (node, base) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+        and isinstance(base := _resolve(node.value), ModuleType) and base.__name__.startswith("kronstab")
+    ]
+    assert len(reads) > 10
+    assert [ast.unparse(node) for node, base in reads if not hasattr(base, node.attr)] == []
 
 
 def test_bound_queries_pass(tracer):

@@ -43,9 +43,7 @@ def _triples(family):
 
 @cache
 def _term(family, triple, d):
-    # The triples come from ``partitions_of`` and the directions from the
-    # registry, so the per-term input check is skipped, as in ``d_real``.
-    return sequence_term(triple, FAMILIES[family].direction, d, checked=True)
+    return sequence_term(triple, FAMILIES[family].direction, d)
 
 
 def _gate(family):

@@ -34,6 +34,17 @@ def test_parse_examples():
     assert parse_partition(" 3 , 1 ") == (3, 1)
 
 
+def test_non_partitions_raise_named_errors():
+    with pytest.raises(PartitionError, match=r"got \(1, 2\)$"):
+        conjugate((1, 2))
+    with pytest.raises(PartitionError, match=r"got 0$"):
+        conjugate((0,))
+    with pytest.raises(PartitionError, match=r"got None$"):
+        check_partition(None)
+    with pytest.raises(PartitionError, match=r"got 3$"):
+        parse_partition(3)
+
+
 def test_parse_rejects_garbage():
     for bad in ("1,2", "0", "a", "2,,1", "3^0^1"):
         with pytest.raises(PartitionError):

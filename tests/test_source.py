@@ -53,6 +53,83 @@ def test_only_partitions_builds_size_cap_errors():
     assert found == []
 
 
+def _functions():
+    """(file name, function name, node) for every function of the package."""
+    for path in sorted(Path(kronstab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                yield path.name, node.name, node
+
+
+def _is_int_test(node) -> bool:
+    """``isinstance(x, int)`` or ``type(x) is [not] int``."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        return any(getattr(k, "id", None) == "int" for k in kinds)
+    if isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Is, ast.IsNot)):
+        return (
+            isinstance(node.left, ast.Call) and getattr(node.left.func, "id", None) == "type"
+            and getattr(node.comparators[0], "id", None) == "int"
+        )
+    return False
+
+
+def test_counts_checked_in_one_place():
+    # A count is checked by ``partitions.check_count``, so every count error
+    # has one message form.  ``part_at`` writes the same rule inline, since a
+    # bound query calls it about 40 times; ``check_partition`` type-tests
+    # parts, not counts.  A hand check is an int type test, or a parameter
+    # compared below a constant where the branch raises.  ``hm_bound``'s
+    # weight check raises the scenario's own error on the bound-query path.
+    allowed = {("partitions.py", name) for name in ("check_count", "check_partition", "part_at")}
+    allowed.add(("hm.py", "hm_bound"))
+    found = []
+    for file, name, fn in _functions():
+        if (file, name) in allowed:
+            continue
+        params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.If):
+                continue
+            raises = any(isinstance(s, ast.Raise) for s in node.body)
+            for test in ast.walk(node.test):
+                bound = (
+                    isinstance(test, ast.Compare) and isinstance(test.ops[0], (ast.Lt, ast.LtE))
+                    and getattr(test.left, "id", None) in params
+                    and isinstance(test.comparators[0], ast.Constant)
+                )
+                if _is_int_test(test) or (bound and raises):
+                    found.append(f"{file}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_double_partitions_checked_in_one_place():
+    # A double partition is checked by ``partitions.check_double_partition``,
+    # so a non-pair raises one named ``PartitionError``; no other code
+    # unpacks a pair to check its halves.
+    found = []
+    for file, name, fn in _functions():
+        if name == "check_double_partition":
+            continue
+        def pair(target):
+            return isinstance(target, ast.Tuple) and len(target.elts) == 2
+
+        loops = [n.target for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))]
+        halves = {e.id for t in loops if pair(t) for e in t.elts if isinstance(e, ast.Name)}
+        for node in ast.walk(fn):
+            # check_partition(p) in a loop ``for p, m in ...``, or
+            # plus, minus = map(check_partition, pair)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_partition":
+                if getattr(node.args[0], "id", None) in halves:
+                    found.append(f"{file}:{node.lineno} {name}")
+            elif isinstance(node, ast.Assign) and pair(node.targets[0]):
+                value = node.value
+                if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "map" \
+                        and getattr(value.args[0], "id", None) == "check_partition":
+                    found.append(f"{file}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_star_import_binds_no_modules():
     namespace = {}
     exec("from kronstab import *", namespace)

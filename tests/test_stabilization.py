@@ -198,11 +198,11 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         empirical_scan(((1,), (1,), (1,)), ONE_BOX, -2)
     # non-integers are named here, not by ``range`` deep inside
-    with pytest.raises(ValueError, match=r"^bound and margin must be integers, got 3\.5$"):
+    with pytest.raises(ValueError, match=r"^certified_bound must be an integer of at least 0, got 3\.5$"):
         d_real(((1,), (1,), (1,)), ONE_BOX, 3.5)
-    with pytest.raises(ValueError, match=r"^bound and margin must be integers, got 2\.0$"):
+    with pytest.raises(ValueError, match=r"^margin must be an integer of at least 0, got 2\.0$"):
         d_real(((1,), (1,), (1,)), ONE_BOX, 2, margin=2.0)
-    with pytest.raises(ValueError, match=r"^horizon must be an integer, got 2\.0$"):
+    with pytest.raises(ValueError, match=r"^horizon must be an integer of at least 0, got 2\.0$"):
         empirical_scan(((1,), (1,), (1,)), ONE_BOX, 2.0)
 
 
