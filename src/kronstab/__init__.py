@@ -40,6 +40,7 @@ from .stabilization import (
     StabilizationResult,
     d_real,
     empirical_scan,
+    hyperoct_term,
     sequence_term,
 )
 from .characters import _memo, _rows, _size

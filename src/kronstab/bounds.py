@@ -2,19 +2,19 @@
 
 All bounds certify an index from which the shifted coefficient sequence
 is constant.  ``FAMILIES`` is the one place that records a family of
-sequences: the direction they grow along, its bounds in display order
-and the bound its certified index is read from.  Formula values are
-clamped at 0 since sequences are indexed by natural numbers.  Parts
-beyond a partition's length read as 0 throughout; runs of parts are
-summed as tuple slices, which read past the end as empty.  Each public
-``bound_*`` validates its triple once through ``check_triple``: its
-parts, and sizes (total sizes) that agree.  Bounds built from others
-call their unchecked cores.
+sequences: its direction, whether its triples hold double partitions,
+its bounds in display order and the bound its certified index is read
+from.  Formula values are clamped at 0 since sequences are indexed by
+natural numbers.  Parts beyond a partition's length read as 0
+throughout; runs of parts are summed as tuple slices, which read past
+the end as empty.  Each public ``bound_*`` validates its triple once
+through ``check_triple``: its parts, and sizes (total sizes) that agree.
+Bounds built from others call their unchecked cores.
 """
 
 from typing import NamedTuple
 
-from .partitions import DoublePartition, Partition, check_triple, format_triple, is_double, part_at
+from .partitions import DoublePartition, Partition, check_triple, format_triple, part_at
 
 
 class DegenerateTripleError(ValueError):
@@ -230,7 +230,7 @@ def bound_hyperoct(lam: DoublePartition, mu: DoublePartition, nu: DoublePartitio
     a1, a2 = len(lp), len(lm)
     b1, b2 = len(mp), len(mm)
     if a1 < 2 or b1 < 2:
-        triple = format_triple(((lp, lm), (mp, mm), (np_, nm)))
+        triple = format_triple(((lp, lm), (mp, mm), (np_, nm)), True)
         raise DegenerateTripleError(f"first two plus parts of {triple} need length >= 2")
     m = a1 * b1 + a2 * b2
     n = a1 * b2 + a2 * b1
@@ -245,11 +245,13 @@ def bound_hyperoct(lam: DoublePartition, mu: DoublePartition, nu: DoublePartitio
 class Family(NamedTuple):
     """A family of shifted sequences: the direction added at each step, the
     function of this module behind each bound name, in display order and
-    looked up at call time, and the bound the certified index is read from."""
+    looked up at call time, the bound the certified index is read from,
+    and whether its triples hold double partitions."""
 
     direction: tuple
     bounds: dict[str, str]
     certified: str
+    double: bool = False
 
 
 FAMILIES = {
@@ -258,16 +260,23 @@ FAMILIES = {
     # D2 stays certified: D2E2 raises four rows of table 3.6.2, to n = 37.
     "squares": Family(((1, 1), (1, 1), (2,)), {"D2": "bound_D2", "D2E2": "bound_D2E2"}, "D2"),
     # One box on every plus part's first row; an empty plus part grows as (d).
-    "hyperoct": Family((((1,), ()),) * 3, {"D_hyperoct": "bound_hyperoct"}, "D_hyperoct"),
+    "hyperoct": Family((((1,), ()),) * 3, {"D_hyperoct": "bound_hyperoct"}, "D_hyperoct", double=True),
 }
+
+
+def family_record(name: str) -> Family:
+    """The record of the family ``name``, for ``bound_values`` and
+    ``stabilization.d_real`` alike."""
+    record = FAMILIES.get(name)
+    if record is None:
+        raise ValueError(f"unknown bound family {name!r}")
+    return record
 
 
 def bound_values(family: str, lam, mu, nu) -> dict[str, int]:
     """Every bound of a family for one triple, in display order.  The
-    triple holds partitions, or double partitions where the family's
-    direction does, and its sizes (total sizes) must agree."""
-    record = FAMILIES.get(family)
-    if record is None:
-        raise ValueError(f"unknown bound family {family!r}")
-    triple = check_triple((lam, mu, nu), is_double(record.direction))
+    triple holds partitions, or double partitions where the family
+    declares them, and its sizes (total sizes) must agree."""
+    record = family_record(family)
+    triple = check_triple((lam, mu, nu), record.double)
     return {name: globals()[fn](*triple) for name, fn in record.bounds.items()}

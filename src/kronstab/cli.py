@@ -11,7 +11,7 @@ import io
 import json
 import sys
 
-from .partitions import PartitionError, is_double, parse_partition
+from .partitions import PartitionError, parse_partition
 from .kronecker import kron
 from .plethysm import plethysm_coeff
 from .hyperoct import hyperoct_coeff, parse_double_partition
@@ -40,7 +40,7 @@ def cmd_kron(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    triple = _parse_triple(args.triple, double=is_double(FAMILIES[args.family].direction))
+    triple = _parse_triple(args.triple, FAMILIES[args.family].double)
     values = list(bound_values(args.family, *triple).items())
     for name, value in values if args.all else values[:1]:
         print(f"{name} = {value}")
@@ -48,15 +48,14 @@ def cmd_bound(args) -> int:
 
 
 def cmd_dreal(args) -> int:
-    family = FAMILIES[args.family]
-    base = _parse_triple(args.triple, double=is_double(family.direction))
-    if args.direction is not None:
-        if is_double(family.direction):
-            raise ValueError(f"--direction is for Kronecker sequences only, not {args.family}")
-        res = empirical_scan(base, _parse_triple(args.direction), args.horizon)
+    double = FAMILIES[args.family].double
+    base = _parse_triple(args.triple, double)
+    if args.direction is None:
+        res = d_real(args.family, base)
+    elif double:
+        raise ValueError(f"--direction is for Kronecker sequences only, not {args.family}")
     else:
-        bound = bound_values(args.family, *base)[family.certified]
-        res = d_real(base, family.direction, bound, certificate=family.certified)
+        res = empirical_scan(base, _parse_triple(args.direction), args.horizon)
     print(f"d_real = {res.d_real}")
     print(f"limit = {res.limit}")
     print(f"sequence = {list(res.sequence)}")
@@ -123,9 +122,7 @@ def _row_numbers(text: str, count: int) -> set[int]:
 def cmd_table(args) -> int:
     table = TABLES.get(args.table_id)
     if table is None:
-        print(f"unknown table id {args.table_id!r}; "
-              f"available: {', '.join(sorted(TABLES))}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown table id {args.table_id!r}; available: {', '.join(sorted(TABLES))}")
     rows = table.rows
     if args.rows:
         wanted = _row_numbers(args.rows, len(rows))

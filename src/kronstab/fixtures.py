@@ -13,7 +13,7 @@ implemented here, and the discrepancy is reported rather than hidden.
 from typing import NamedTuple
 
 from .partitions import Partition, format_triple
-from .bounds import FAMILIES, bound_values
+from .bounds import bound_values
 from .stabilization import d_real
 
 Triple = tuple[Partition, Partition, Partition]
@@ -90,11 +90,8 @@ def evaluate_row(table: TableFixture, row: FixtureRow) -> dict:
     fixture columns), the provenance and a status of "match",
     "mismatch-known" or "mismatch".
     """
-    family = FAMILIES[table.family]
     computed = bound_values(table.family, *row.triple)
-    res = d_real(row.triple, family.direction, computed[family.certified],
-                 certificate=family.certified)
-    computed["Dreal"] = res.d_real
+    computed["Dreal"] = d_real(table.family, row.triple).d_real
     cells = {}
     for name, expected in zip(table.columns, row.expected):
         if name in table.fixture_columns:

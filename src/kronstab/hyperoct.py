@@ -121,7 +121,7 @@ def hyperoct_coeff(
     if total_size(alpha) != n or total_size(beta) != n:
         return 0
     if n > size_cap:
-        raise over_cap(f"total size {n} of {format_triple(triple)}", size_cap)
+        raise over_cap(f"total size {n} of {format_triple(triple, True)}", size_cap)
     # Block sizes: alpha-plus is s1 + s3, alpha-minus s2 + s4, beta-plus
     # s1 + s4, beta-minus s2 + s3 and gamma-plus s1 + s2.
     s1, odd = divmod(sum(ap) + sum(bp) + sum(gp) - n, 2)

@@ -141,26 +141,22 @@ def total_size(alpha: DoublePartition) -> int:
     return sum(alpha[0]) + sum(alpha[1])
 
 
-def is_double(triple) -> bool:
-    """Whether a triple holds double partitions: its first entry holds
-    lists or tuples, so a float part is left to ``check_partition``."""
-    return bool(triple[0]) and all(isinstance(p, (tuple, list)) for p in triple[0])
-
-
-def format_triple(triple) -> str:
-    """Render three partitions or double partitions as the CLI's triple."""
-    fmt = format_double_partition if is_double(triple) else format_partition
-    return " / ".join(map(fmt, triple))
+def format_triple(triple, double: bool = False) -> str:
+    """Render three partitions, or three double partitions, as the CLI's
+    triple."""
+    return " / ".join(map(format_double_partition if double else format_partition, triple))
 
 
 def check_triple(triple, double: bool, what: str = "") -> tuple:
     """Validate three partitions, or three double partitions, whose sizes
-    (total sizes) agree; a size error names the triple after ``what``."""
+    (total sizes) agree; an error names the triple after ``what``."""
     triple = tuple(map(check_double_partition if double else check_partition, triple))
+    if len(triple) != 3:
+        raise ValueError(f"{what}{format_triple(triple, double)} holds {len(triple)} entries, not three")
     sizes = list(map(total_size if double else sum, triple))
     if len(set(sizes)) > 1:
         raise ValueError(
-            f"sizes {', '.join(map(str, sizes))} of {what}{format_triple(triple)} differ;"
+            f"sizes {', '.join(map(str, sizes))} of {what}{format_triple(triple, double)} differ;"
             " all three partitions must have the same size"
         )
     return triple

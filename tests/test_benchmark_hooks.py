@@ -101,3 +101,16 @@ def test_table_output_checks(tracer):
     attempted, failed = worker.check_table("3.6.2", code, out.getvalue())
     assert (attempted, failed) == (25, 0)
     assert tracer.stats["fixtures.bound_values"][0] == 12
+
+
+def test_traced_hyperoct_sequence(tracer):
+    # The tracer labels a ``sequence_term`` span with ``sum(base[0])``,
+    # which a double partition cannot give; hyperoctahedral terms go
+    # through ``hyperoct_term``, which it does not wrap.
+    from kronstab.fixtures import d_real
+
+    res = d_real("hyperoct", (((1, 1), (2,)), ((1, 1), (2,)), ((), (3, 1))))
+    assert (res.d_real, res.limit) == (2, 4)
+    assert tracer.stats["fixtures.d_real"][0] == 1
+    assert tracer.stats["bounds.bound_hyperoct"][0] == 1
+    assert tracer.stats["stabilization.sequence_term"][0] == 0

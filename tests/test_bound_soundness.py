@@ -7,8 +7,9 @@ multiset of three partitions is checked once.  The squares direction is
 symmetric in the first two partitions only, and D2 needs both of them to
 have two or more rows.  So is the hyperoctahedral coefficient in its
 first two double partitions, and ``bound_hyperoct`` needs both of their
-plus parts to have two or more rows.  Every sequence is the family's own,
-``sequence_term`` along its registered direction.
+plus parts to have two or more rows.  Every sequence is the family's own:
+``sequence_term``, or ``hyperoct_term`` where the family declares double
+partitions, along its registered direction.
 """
 
 from functools import cache
@@ -17,8 +18,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 from kronstab.bounds import FAMILIES, bound_values
-from kronstab.partitions import is_double, partitions_of
-from kronstab.stabilization import sequence_term
+from kronstab.partitions import partitions_of
+from kronstab.stabilization import hyperoct_term, sequence_term
 
 MARGIN = 2
 MAX_SIZE = {"murnaghan": 8, "squares": 7, "hyperoct": 5}
@@ -26,7 +27,7 @@ MAX_SIZE = {"murnaghan": 8, "squares": 7, "hyperoct": 5}
 
 def _triples(family):
     for n in range(MAX_SIZE[family] + 1):
-        if is_double(FAMILIES[family].direction):
+        if FAMILIES[family].double:
             shapes = [(p, m) for k in range(n + 1)
                       for p in partitions_of(k) for m in partitions_of(n - k)]
             long = [dp for dp in shapes if len(dp[0]) >= 2]
@@ -43,7 +44,8 @@ def _triples(family):
 
 @cache
 def _term(family, triple, d):
-    return sequence_term(triple, FAMILIES[family].direction, d)
+    record = FAMILIES[family]
+    return (hyperoct_term if record.double else sequence_term)(triple, record.direction, d)
 
 
 def _gate(family):

@@ -20,7 +20,7 @@ from kronstab.bounds import (
     bound_values,
 )
 from kronstab.fixtures import TABLE_1, TABLE_2
-from kronstab.partitions import PartitionError, partitions_of
+from kronstab.partitions import PartitionError, check_triple, partitions_of
 
 
 def _random_triples(count, seed=7, max_size=18):
@@ -195,3 +195,14 @@ def test_bound_values():
         bound_values("nope", (1,), (1,), (1,))
     for family in FAMILIES.values():
         assert family.certified in family.bounds
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_family_declares_the_kind_of_its_direction(name):
+    # The record, not the shape of the data, says whether a family's
+    # triples hold double partitions; its own direction must agree.
+    record = FAMILIES[name]
+    assert check_triple(record.direction, record.double) == record.direction
+    with pytest.raises(PartitionError):
+        check_triple(record.direction, not record.double)
+    assert record.double == (name == "hyperoct")

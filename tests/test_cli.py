@@ -247,8 +247,9 @@ def test_table_rows_not_a_number(capsys):
 
 
 def test_table_unknown_id(capsys):
-    code, _, err = run(capsys, "table", "nope")
-    assert code == 2 and "unknown table id" in err
+    code, out, err = run(capsys, "table", "nope")
+    assert code == 2 and out == ""
+    assert err == "error: unknown table id 'nope'; available: 3.6.1, 3.6.2\n"
 
 
 def test_table_rows_csv(capsys):

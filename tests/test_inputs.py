@@ -12,6 +12,7 @@ and ``hyperoct_coeff`` return 0 for them by definition.
 """
 
 import re
+import tracemalloc
 from types import GenericAlias
 from typing import NamedTuple
 
@@ -20,6 +21,7 @@ import kronstab
 P = (2, 1)
 D = ((2, 1), (1,))
 ONE_BOX = ((1,), (1,), (1,))
+HYPEROCT = (((1,), ()),) * 3
 
 # class: (bad partition, the value its message names)
 BAD_PARTS = {
@@ -51,7 +53,8 @@ def count(name, valid):
 
 
 p, d = Slot("partition", P), Slot("double", D)
-base, text, dtext = Slot("base", (P, P, P)), Slot("text", "2,1"), Slot("dtext", "2,1;1")
+base, dbase = Slot("base", (P, P, P)), Slot("dbase", (D, D, D))
+text, dtext = Slot("text", "2,1"), Slot("dtext", "2,1;1")
 
 CALLS = {
     "add_scaled": (p, count("d", 1), p),
@@ -68,13 +71,14 @@ CALLS = {
     "check_partition": (p,),
     "clear_caches": (count("degree", 3),),
     "conjugate": (p,),
-    "d_real": (base, ONE_BOX, count("certified_bound", 2), count("margin", 1)),
+    "d_real": ("murnaghan", base, count("margin", 1)),
     "dim_gl": (p, count("m", 3)),
     "dim_sn": (p,),
     "dim_wreath": (d,),
     "empirical_scan": (base, ONE_BOX, count("horizon", 2)),
     "format_partition": (p,),
     "hyperoct_coeff": (d, d, d, count("size_cap", 20)),
+    "hyperoct_term": (dbase, HYPEROCT, count("d", 1)),
     "kron": (p, p, p),
     "lr": (p, p, p),
     "parse_double_partition": (dtext,),
@@ -99,10 +103,13 @@ def _bad(slot):
         return [*((cls, t, v) for cls, (t, v) in BAD_TEXT.items()), ("wrong nesting", P, P)]
     if slot.kind == "dtext":
         return [*((cls, t + ";1", v) for cls, (t, v) in BAD_TEXT.items()), ("wrong nesting", D, D)]
-    if slot.kind == "double":
-        return [*((cls, (lam, (1,)), v) for cls, (lam, v) in BAD_PARTS.items()), ("wrong nesting", P, P)]
-    cases = [*((cls, lam, v) for cls, (lam, v) in BAD_PARTS.items()), ("wrong nesting", D, D[0])]
-    return [(cls, (lam, P, P), v) for cls, lam, v in cases] if slot.kind == "base" else cases
+    if slot.kind in ("double", "dbase"):
+        cases = [*((cls, (lam, (1,)), v) for cls, (lam, v) in BAD_PARTS.items()), ("wrong nesting", P, P)]
+    else:
+        cases = [*((cls, lam, v) for cls, (lam, v) in BAD_PARTS.items()), ("wrong nesting", D, D[0])]
+    if slot.kind in ("base", "dbase"):
+        return [(cls, (bad, *slot.valid[1:]), v) for cls, bad, v in cases]
+    return cases
 
 
 def _holds(message, word) -> bool:
@@ -135,4 +142,53 @@ def test_every_public_function_names_its_bad_input():
                     failures.append(f"{name} arg {i} {cls}: {type(exc).__name__}: {exc}")
                 else:
                     failures.append(f"{name} arg {i} {cls}: no error")
+    assert failures == []
+
+
+# A part this large makes any allocation of one cell per box fail at once,
+# instead of filling memory, should a cap ever come after one.
+HUGE = 10 ** 18
+H, HD = (HUGE, 1), ((HUGE, 1), ())
+
+
+def _capped_calls():
+    from kronstab.plethysm import schur_to_powersum
+
+    return {
+        "kron": lambda: kronstab.kron(H, H, H),
+        "character": lambda: kronstab.character(H, H),
+        "plethysm_coeff": lambda: kronstab.plethysm_coeff((HUGE,), (1,), (HUGE,)),
+        "schur_to_powersum": lambda: schur_to_powersum(H),
+        "hyperoct_coeff": lambda: kronstab.hyperoct_coeff(HD, HD, HD),
+        "sequence_term": lambda: kronstab.sequence_term((H, H, H), ONE_BOX, 0),
+        "hyperoct_term": lambda: kronstab.hyperoct_term((HD, HD, HD), HYPEROCT, 0),
+        "d_real murnaghan": lambda: kronstab.d_real("murnaghan", (H, H, H)),
+        "d_real hyperoct": lambda: kronstab.d_real("hyperoct", (HD, HD, HD)),
+        "weak_stability_probe": lambda: kronstab.weak_stability_probe(H, H, H, 2),
+    }
+
+
+def test_huge_parts_hit_the_cap_before_any_allocation():
+    """Every function with a size cap raises ``SizeCapError`` for huge
+    parts, naming the size, before it allocates anything that grows with
+    the parts.  The closed-form bounds have no cap: they only add and
+    compare parts, so huge parts are valid input there, and ``d_real``
+    reaches its cap through its first term, after the certified bound."""
+    assert kronstab.bound_values("murnaghan", H, H, H)["Dm"] == 0
+    assert kronstab.bound_hyperoct(HD, HD, HD) == 0
+    failures = []
+    for name, call in _capped_calls().items():
+        tracemalloc.start()
+        try:
+            call()
+        except kronstab.SizeCapError as exc:
+            peak = tracemalloc.get_traced_memory()[1]
+            if str(HUGE) not in str(exc) or peak > 1 << 16:
+                failures.append(f"{name}: peak {peak} B: {exc}")
+        except Exception as exc:
+            failures.append(f"{name}: {type(exc).__name__}: {exc}")
+        else:
+            failures.append(f"{name}: no error")
+        finally:
+            tracemalloc.stop()
     assert failures == []

@@ -25,12 +25,12 @@ def test_no_assert_statements():
 
 def test_exactness_errors_raise_under_python_O():
     # Both exactness errors in a real ``python -O`` run: a class sum that does
-    # not divide, and bound 0 for 3,1 / 3,1 / 2,2 along the squares
-    # direction, whose sequence is 1, 2, 2, 2.
+    # not divide, and the certified D2 = 0 for 3,1 / 3,1 / 2,2, whose
+    # squares sequence is 1, 2, 2, 2.
     code = (
         "from kronstab.kronecker import _multiplicity\n"
         "for call in (lambda: _multiplicity(7, 6, (3,), (3,), (3,)),\n"
-        "             lambda: kronstab.d_real(((3, 1), (3, 1), (2, 2)), kronstab.FAMILIES['squares'].direction, 0)):\n"
+        "             lambda: kronstab.d_real('squares', ((3, 1), (3, 1), (2, 2)))):\n"
         "    try:\n"
         "        call()\n"
         "    except (kronstab.ConsistencyError, kronstab.CertificateViolationError) as exc:\n"
@@ -127,6 +127,28 @@ def test_double_partitions_checked_in_one_place():
                 if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "map" \
                         and getattr(value.args[0], "id", None) == "check_partition":
                     found.append(f"{file}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_kind_of_a_triple_is_declared_not_sniffed():
+    # Whether a triple holds partitions or double partitions is declared by
+    # its family (``Family.double``); only ``check_double_partition`` tests
+    # whether a value is a tuple or a list.
+    found = []
+    for path in sorted(Path(kronstab.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {
+            id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "check_double_partition"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and id(node) not in allowed
+                and {"tuple", "list"} & {getattr(k, "id", None) for k in ast.walk(node.args[1])}
+            ):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

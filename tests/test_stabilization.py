@@ -1,7 +1,7 @@
 import pytest
 
-from kronstab import stabilization
-from kronstab.bounds import FAMILIES, bound_D1, bound_D2, bound_Dm, bound_hyperoct, bound_values
+from kronstab import bounds, stabilization
+from kronstab.bounds import FAMILIES, bound_D1, bound_values
 from kronstab.lr import lr
 from kronstab.fixtures import TABLE_1, TABLE_2
 from kronstab.partitions import ConsistencyError, PartitionError, add_scaled
@@ -9,11 +9,11 @@ from kronstab.stabilization import (
     CertificateViolationError,
     d_real,
     empirical_scan,
+    hyperoct_term,
     sequence_term,
 )
 
 ONE_BOX = FAMILIES["murnaghan"].direction
-SQUARES = FAMILIES["squares"].direction
 HYPEROCT = FAMILIES["hyperoct"].direction
 
 # cheap reference rows (small degrees): index -> expected d_real
@@ -64,14 +64,11 @@ def test_direction_of_unequal_sizes_is_named():
 def test_certified_index_on_cheap_rows():
     for idx, expected in CHEAP_1.items():
         triple = TABLE_1.rows[idx].triple
-        bound = bound_D1(*triple)
-        res = d_real(triple, ONE_BOX, bound)
+        res = d_real("murnaghan", triple)
         assert res.d_real == expected
-        assert res.d_real <= bound
+        assert res.d_real <= bound_D1(*triple)
     for idx, expected in CHEAP_2.items():
-        triple = TABLE_2.rows[idx].triple
-        bound = bound_D2(*triple)
-        res = d_real(triple, SQUARES, bound)
+        res = d_real("squares", TABLE_2.rows[idx].triple)
         assert res.d_real == expected
 
 
@@ -89,12 +86,12 @@ def test_certified_limit_is_the_reduced_lr_coefficient(a, b, c, expected):
     # The base is the least n at which all three are partitions.
     n = max(sum(x) + x[0] for x in (a, b, c))
     base = tuple((n - sum(x), *x) for x in (a, b, c))
-    assert d_real(base, ONE_BOX, bound_Dm(*base)).limit == lr(a, b, c) == expected
+    assert d_real("murnaghan", base).limit == lr(a, b, c) == expected
 
 
 def test_sequence_invariants():
     triple = TABLE_1.rows[1].triple
-    res = d_real(triple, ONE_BOX, bound_D1(*triple))
+    res = d_real("murnaghan", triple)
     assert res.horizon == len(res.sequence) - 1
     assert all(v == res.limit for v in res.sequence[res.d_real:])
     if res.d_real > 0:
@@ -104,11 +101,7 @@ def test_sequence_invariants():
 def test_margin_independence():
     for idx in (1, 7, 8, 9):
         triple = TABLE_1.rows[idx].triple
-        bound = bound_D1(*triple)
-        values = {
-            d_real(triple, ONE_BOX, bound, margin=m).d_real
-            for m in range(5)
-        }
+        values = {d_real("murnaghan", triple, margin=m).d_real for m in range(5)}
         assert len(values) == 1
 
 
@@ -116,71 +109,95 @@ def test_shift_consistency():
     # adding one box to every first row translates the index by at most 1
     for idx in (1, 3, 7, 8, 9):
         lam, mu, nu = TABLE_1.rows[idx].triple
-        bound = bound_D1(lam, mu, nu)
-        base_res = d_real((lam, mu, nu), ONE_BOX, bound)
+        base_res = d_real("murnaghan", (lam, mu, nu))
         shifted = tuple(
             (p[0] + 1,) + p[1:] for p in (lam, mu, nu)
         )
-        shifted_bound = bound_D1(*shifted)
-        shifted_res = d_real(shifted, ONE_BOX, max(shifted_bound, bound))
+        shifted_res = d_real("murnaghan", shifted)
         assert abs(base_res.d_real - shifted_res.d_real) <= 1
 
 
-def test_certificate_violation_detected():
-    # bound 0 is not sound for this triple: the sequence still moves
+def test_certificate_violation_detected(monkeypatch):
+    # bound 0 is not sound for this triple: the sequence still moves.
+    # d_real reads the certified bound at call time, so the patch holds.
+    monkeypatch.setattr(bounds, "bound_Dm", lambda *triple: 0)
     triple = TABLE_1.rows[1].triple
     with pytest.raises(CertificateViolationError) as info:
-        d_real(triple, ONE_BOX, 0, margin=3, certificate="D1")
+        d_real("murnaghan", triple, margin=3)
     message = str(info.value)
-    assert message.startswith("D1 = 0 is not a bound for ")
+    assert message.startswith("Dm = 0 is not a bound for ")
     assert "4,3,3 / 3,2^3,1 / 2^3,1^4 along 1 / 1 / 1" in message
     assert "not constant on [0, 3]" in message
 
 
 @pytest.mark.parametrize("scan", [
-    lambda base, direction: d_real(base, direction, 2),
-    lambda base, direction: empirical_scan(base, direction, 4),
+    lambda family, base: d_real(family, base),
+    lambda family, base: empirical_scan(base, FAMILIES[family].direction, 4),
 ])
 def test_decreasing_sequence_is_a_fault(monkeypatch, scan):
-    # both built-in directions have g(a, b, c) = 1, so their sequences
-    # weakly increase; a decrease can only be an arithmetic fault
+    # both built-in Kronecker directions have g(a, b, c) = 1, so their
+    # sequences weakly increase; a decrease can only be an arithmetic fault
     # 5, 4, 3, 3, 3: constant beyond d = 2, decreasing before it
-    def term(base, direction, d, **_):
+    monkeypatch.setattr(stabilization, "sequence_term", lambda base, direction, d: max(5 - d, 3))
+    base = ((2, 1), (2, 1), (2, 1))
+    for family in ("murnaghan", "squares"):
+        record = FAMILIES[family]
+        monkeypatch.setattr(bounds, record.bounds[record.certified], lambda *triple: 2)
+        with pytest.raises(ConsistencyError, match=r"2,1 / 2,1 / 2,1 along .* d = 1"):
+            scan(family, base)
+
+
+def test_decrease_without_a_covariant_is_not_a_fault(monkeypatch):
+    def term(base, direction, d):
         return max(5 - d, 3)
 
     monkeypatch.setattr(stabilization, "sequence_term", term)
-    base = ((2, 1), (2, 1), (2, 1))
-    for direction in (ONE_BOX, SQUARES):
-        with pytest.raises(ConsistencyError, match=r"2,1 / 2,1 / 2,1 along .* d = 1"):
-            scan(base, direction)
+    monkeypatch.setattr(stabilization, "hyperoct_term", term)
+    monkeypatch.setattr(bounds, "bound_hyperoct", lambda *triple: 2)
     # g((2), (2), (1,1)) = 0: no covariant, so no monotonicity claim
-    scan(base, ((2,), (2,), (1, 1)))
+    assert empirical_scan(((2, 1), (2, 1), (2, 1)), ((2,), (2,), (1, 1)), 4).d_real == 2
     # nor is one established for hyperoctahedral sequences
-    scan((((2, 1), ()),) * 3, HYPEROCT)
+    assert d_real("hyperoct", (((2, 1), ()),) * 3).d_real == 2
 
 
 def test_hyperoct_lists_work_like_tuples():
-    # the kind of a term follows the direction's shape, not its type
+    # the family declares the kind, so lists read as tuples do
     base = (((1, 1), (2,)), ((1, 1), (2,)), ((), (3, 1)))
     as_lists = [[list(plus), list(minus)] for plus, minus in base]
-    assert [sequence_term(base, HYPEROCT, d) for d in range(3)] == [0, 3, 4]
+    assert [hyperoct_term(base, HYPEROCT, d) for d in range(3)] == [0, 3, 4]
     for d in range(3):
-        expected = sequence_term(base, HYPEROCT, d)
-        assert sequence_term(as_lists, [[[1], []]] * 3, d) == expected
-        assert sequence_term(as_lists, HYPEROCT, d) == expected
-    res = d_real(as_lists, [[[1], []]] * 3, bound_hyperoct(*base))
-    assert res.sequence == d_real(base, HYPEROCT, bound_hyperoct(*base)).sequence
+        expected = hyperoct_term(base, HYPEROCT, d)
+        assert hyperoct_term(as_lists, [[[1], []]] * 3, d) == expected
+        assert hyperoct_term(as_lists, HYPEROCT, d) == expected
+    res = d_real("hyperoct", as_lists)
+    assert res.sequence == d_real("hyperoct", base).sequence == (0, 3, 4, 4, 4)
 
 
 def test_hyperoct_direction_sizes_must_agree():
     base = (((2,), (1,)), ((2,), (1,)), ((1, 1), (1,)))
     with pytest.raises(ValueError, match=r"^sizes 1, 1, 2 of direction 1;- / 1;- / 1;1 differ"):
-        sequence_term(base, (((1,), ()), ((1,), ()), ((1,), (1,))), 0)
+        hyperoct_term(base, (((1,), ()), ((1,), ()), ((1,), (1,))), 0)
+
+
+def test_triples_of_two_entries_are_named():
+    pair, double_pair = ((2, 1), (2, 1)), (((2,), (1,)),) * 2
+    message = r"^2,1 / 2,1 holds 2 entries, not three$"
+    with pytest.raises(ValueError, match=message):
+        sequence_term(pair, ONE_BOX, 0)
+    with pytest.raises(ValueError, match=message):
+        empirical_scan(pair, ONE_BOX, 2)
+    # checked before the certified bound unpacks it
+    with pytest.raises(ValueError, match=message):
+        d_real("murnaghan", pair)
+    with pytest.raises(ValueError, match=r"^2;1 / 2;1 holds 2 entries, not three$"):
+        hyperoct_term(double_pair, HYPEROCT, 0)
+    with pytest.raises(ValueError, match=r"^direction 1 / 1 holds 2 entries, not three$"):
+        sequence_term(((2, 1),) * 3, ONE_BOX[:2], 0)
 
 
 def test_certificate_is_recorded():
     triple = TABLE_2.rows[10].triple
-    res = d_real(triple, SQUARES, bound_D2(*triple), certificate="D2")
+    res = d_real("squares", triple)
     assert res.certified and res.certificate == "D2"
     assert res.d_real == 0
 
@@ -194,20 +211,18 @@ def test_empirical_scan_is_labeled():
 
 def test_invalid_inputs():
     with pytest.raises(ValueError):
-        d_real(((1,), (1,), (1,)), ONE_BOX, -1)
+        d_real("murnaghan", ((1,), (1,), (1,)), -1)
     with pytest.raises(ValueError):
         empirical_scan(((1,), (1,), (1,)), ONE_BOX, -2)
+    with pytest.raises(ValueError, match=r"^unknown bound family 'nope'$"):
+        d_real("nope", ((1,), (1,), (1,)))
     # non-integers are named here, not by ``range`` deep inside
-    with pytest.raises(ValueError, match=r"^certified_bound must be an integer of at least 0, got 3\.5$"):
-        d_real(((1,), (1,), (1,)), ONE_BOX, 3.5)
     with pytest.raises(ValueError, match=r"^margin must be an integer of at least 0, got 2\.0$"):
-        d_real(((1,), (1,), (1,)), ONE_BOX, 2, margin=2.0)
+        d_real("murnaghan", ((1,), (1,), (1,)), margin=2.0)
     with pytest.raises(ValueError, match=r"^horizon must be an integer of at least 0, got 2\.0$"):
         empirical_scan(((1,), (1,), (1,)), ONE_BOX, 2.0)
 
 
 def test_float_direction_part_is_named():
-    # A float part marks no double partition: the direction is checked
-    # as partitions and the error names the part.
     with pytest.raises(PartitionError, match=r"^parts must be positive integers, got 1\.0$"):
-        d_real(((2, 1), (2, 1), (2, 1)), ((1.0,), (1,), (1,)), 3)
+        empirical_scan(((2, 1), (2, 1), (2, 1)), ((1.0,), (1,), (1,)), 3)
