@@ -46,7 +46,8 @@ def dim_wreath(alpha: DoublePartition) -> int:
     two symmetric group dimensions.  Both halves are validated, as
     lists or tuples."""
     plus, minus = check_double_partition(alpha)
-    return comb(sum(plus) + sum(minus), sum(plus)) * dim_sn(plus) * dim_sn(minus)
+    # the dimensions first: their cap stops huge halves before comb
+    return dim_sn(plus) * dim_sn(minus) * comb(sum(plus) + sum(minus), sum(plus))
 
 
 def _lr_block(lam: Partition, s: int) -> dict:

@@ -1,12 +1,15 @@
 """Littlewood-Richardson coefficients: one walk over the LR tableaux of a
 skew shape nu/lam, which counts one coefficient when given a content or
 else the whole coproduct row {mu: c^nu_{lam mu}}, and a whole Schur
-product by a dynamic program over horizontal strips.  The two share no
-code, so each checks the other."""
+product by a dynamic program that adds the letters of one factor to the
+other as horizontal strips, each state's strips in one depth-first walk
+over rows of a fixed length.  The two share no code, so each checks the
+other.  Neither recurses, and both refuse more than ``CELL_CAP`` cells
+before they lay any out."""
 
 from functools import cache
 
-from .partitions import Partition, _conjugate, check_partition, contains, part_at
+from .partitions import CELL_CAP, Partition, _conjugate, check_partition, contains, format_partition, over_cap, part_at
 
 
 def lr(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -53,7 +56,8 @@ def _tableaux(lam: Partition, nu: Partition, mu: Partition | None = None) -> dic
     reading word is a lattice word.  Given ``mu`` of size |nu| - |lam|,
     only fillings of content ``mu`` are searched.  A content is keyed by
     its letter counts (|nu| - |lam|, c_1, ..., c_k, 0), k the length of
-    ``mu``, or of ``nu`` without one."""
+    ``mu``, or of ``nu`` without one.  The grid of letters has at most
+    ``CELL_CAP`` slots."""
     # Cells are filled row by row, right to left within each row, so the
     # reading word grows one letter at a time and the lattice property
     # can be enforced incrementally.  The search backtracks along the
@@ -64,10 +68,13 @@ def _tableaux(lam: Partition, nu: Partition, mu: Partition | None = None) -> dic
     # placed, below a blank row: the slot above a top cell reads 0 and
     # the one right of a row's end reads the largest letter, so no cell
     # needs a bounds check.
+    width = nu[0] + 1 if nu else 1
+    slots = width * (len(nu) + 1)
+    if slots > CELL_CAP:
+        raise over_cap(f"grid of {slots} slots for {format_partition(nu)}/{format_partition(lam)}", CELL_CAP)
     letters = len(nu) if mu is None else len(mu)
     size = sum(nu) - sum(lam)
-    width = nu[0] + 1 if nu else 1
-    grid = [0] * (width * (len(nu) + 1))
+    grid = [0] * slots
     for r, row in enumerate(nu, 1):
         grid[r * width + row] = letters
     cells = [r * width + c for r in range(1, len(nu) + 1)
@@ -118,9 +125,13 @@ def schur_product_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
     through each row by that of letter i-1 through the row above, so a
     state is the shape so far with these caps.  Equal states merge,
     adding their multiplicities, and the last stage keys by shape alone.
+    The sizes of the factors together are at most ``CELL_CAP``.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
+    n = sum(lam) + sum(mu)
+    if n > CELL_CAP:
+        raise over_cap(f"size {n} of the product of {format_partition(lam)} and {format_partition(mu)}", CELL_CAP)
     # c(lam, mu; nu) = c(lam', mu'; nu'): when the narrower factor has
     # fewer columns than the shorter has rows, transposing gives fewer
     # stages
@@ -131,48 +142,71 @@ def schur_product_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
         lam, mu = mu, lam
     if not mu:
         return {lam: 1}
+    # Rows keep one length, room for a new row per stage, so states of
+    # different lengths merge by equal keys; zeros are stripped at the end.
+    rows = len(lam) + len(mu)
+    new = [0] * rows
+    # nxt[r] = the next letter's cap through row r, set as the strip
+    # passes row r - 1; takes[r] and lows[r] = the take at row r and its
+    # least value, for backtracking
+    nxt = [0] * rows
+    takes = [0] * rows
+    lows = [0] * rows
     # caps[r] bounds the letter's cumulative count through row r; a cap
     # of the first letter's own count leaves it unbounded
-    states = {(lam, (mu[0],) * (len(lam) + 1)): 1}
+    states = {(lam + (0,) * len(mu), (mu[0],) * rows): 1}
     for stage, k in enumerate(mu):
         last = stage == len(mu) - 1
         # a cap at or above the next letter's count never binds, so
         # clipping it there merges more states
         clip = 0 if last else mu[stage + 1]
         merged: dict = {}
-        for (shape, caps), mult in states.items():
-            old = shape + (0,)
-            # cumulative counts (0, c_0, ..., c_{r-1}) through the rows
-            # filled so far; a strip is complete once it reaches k
-            partial = [(0,)]
-            strips = []
-            for r, o in enumerate(old):
-                # horizontal strip: row r stays within the old row r-1
-                width = old[r - 1] - o if r else k
-                grown = []
-                for cum in partial:
-                    cn = cum[-1]
+        nxt[1:] = [clip] * (rows - 1)
+        for (old, caps), mult in states.items():
+            # Walk the strips depth first, largest take first, row r with
+            # cn cells above it.  Row r takes at most the old row r - 1
+            # minus the old row r (horizontal strip) and its cap minus
+            # cn (lattice), and at least the cells left minus the old
+            # row r: the rows below take at most that many in all (their
+            # widths telescope).  A strip ends once its k cells are
+            # placed, at a zero row at the latest.
+            new[:] = old
+            r = cn = 0
+            t = k if k < caps[0] else caps[0]
+            lo = k - old[0] if k > old[0] else 0
+            while True:
+                if t == k - cn:
+                    new[r] = old[r] + t
+                    key = tuple(new) if last else (tuple(new), tuple(nxt))
+                    merged[key] = merged.get(key, 0) + mult
+                    t -= 1
+                if t >= lo:
+                    new[r] = old[r] + t
+                    takes[r] = t
+                    lows[r] = lo
+                    cn += t
+                    nxt[r + 1] = cn if cn < clip else clip
+                    r += 1
+                    o = old[r]
                     left = k - cn
-                    # room: the rows below take at most o cells in all
-                    # (their widths telescope)
-                    for take in range(max(0, left - o), min(left, width, caps[r] - cn) + 1):
-                        if take == left:
-                            strips.append(cum + (k,))
-                        else:
-                            grown.append(cum + (cn + take,))
-                partial = grown
-            for cum in strips:
-                m = len(cum) - 1
-                new = tuple([o + cum[r + 1] - cum[r] for r, o in enumerate(old[:m])]) + shape[m:]
-                if last:
-                    key = new
-                else:
-                    # the next letter's cap through row r is cum[r], this
-                    # letter's count through row r-1; past row m-1 it is k
-                    tail = (clip,) * (len(new) - m)
-                    key = (new, tuple([c if c < clip else clip for c in cum]) + tail)
-                merged[key] = merged.get(key, 0) + mult
+                    t = old[r - 1] - o
+                    if t > left:
+                        t = left
+                    cap = caps[r] - cn
+                    if t > cap:
+                        t = cap
+                    lo = left - o if left > o else 0
+                    continue
+                new[r] = old[r]
+                if not r:
+                    break
+                nxt[r] = clip
+                r -= 1
+                t = takes[r]
+                lo = lows[r]
+                cn -= t
+                t -= 1
         states = merged
     if transpose:
         return {_conjugate(nu): c for nu, c in states.items()}
-    return states
+    return {nu[:nu.index(0)] if nu[-1] == 0 else nu: c for nu, c in states.items()}

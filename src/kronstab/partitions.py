@@ -150,7 +150,13 @@ def format_triple(triple, double: bool = False) -> str:
 def check_triple(triple, double: bool, what: str = "") -> tuple:
     """Validate three partitions, or three double partitions, whose sizes
     (total sizes) agree; an error names the triple after ``what``."""
-    triple = tuple(map(check_double_partition if double else check_partition, triple))
+    try:
+        triple = tuple(map(check_double_partition if double else check_partition, triple))
+    except TypeError:
+        # only iterating the triple itself raises it: the checks raise
+        # PartitionError for a bad entry
+        kind = "double partitions" if double else "partitions"
+        raise PartitionError(f"{what}triple {triple!r} is not a sequence of three {kind}") from None
     if len(triple) != 3:
         raise ValueError(f"{what}{format_triple(triple, double)} holds {len(triple)} entries, not three")
     sizes = list(map(total_size if double else sum, triple))
@@ -160,6 +166,12 @@ def check_triple(triple, double: bool, what: str = "") -> tuple:
             " all three partitions must have the same size"
         )
     return triple
+
+
+# The most cells one call of conjugate, dim_sn, lr or schur_product_expand
+# lays out or loops over: each spends a step or a slot per box, or per
+# slot of lr's letter grid, so a huge part fails here at once.
+CELL_CAP = 1 << 15
 
 
 def over_cap(what: str, cap: int) -> SizeCapError:
@@ -189,8 +201,16 @@ def add_scaled(lam: Partition, d: int, pi: Partition) -> Partition:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram of the partition ``lam``."""
-    return _conjugate(check_partition(lam))
+    """Transpose of the Young diagram of the partition ``lam``, of size
+    at most ``CELL_CAP``."""
+    lam = check_partition(lam)
+    _cap_boxes(lam)
+    return _conjugate(lam)
+
+
+def _cap_boxes(lam: Partition) -> None:
+    if sum(lam) > CELL_CAP:
+        raise over_cap(f"size {sum(lam)} of {format_partition(lam)}", CELL_CAP)
 
 
 def _conjugate(lam: Partition) -> Partition:
@@ -225,14 +245,15 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
 
 def dim_sn(lam: Partition) -> int:
     """Dimension of the symmetric group irreducible of shape ``lam``
-    (the number of standard tableaux), by the hook length formula.
-    ``lam`` is validated before the cache sees it, so a list works as
-    well as a tuple."""
+    (the number of standard tableaux), by the hook length formula, for
+    a size at most ``CELL_CAP``.  ``lam`` is validated before the cache
+    sees it, so a list works as well as a tuple."""
     return _dim_sn(check_partition(lam))
 
 
 @cache
 def _dim_sn(lam: Partition) -> int:
+    _cap_boxes(lam)
     n = sum(lam)
     if n == 0:
         return 1

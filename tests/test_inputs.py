@@ -108,7 +108,8 @@ def _bad(slot):
     else:
         cases = [*((cls, lam, v) for cls, (lam, v) in BAD_PARTS.items()), ("wrong nesting", D, D[0])]
     if slot.kind in ("base", "dbase"):
-        return [(cls, (bad, *slot.valid[1:]), v) for cls, bad, v in cases]
+        not_sequences = [("not a sequence", v, v) for v in (None, 5)]
+        return [*((cls, (bad, *slot.valid[1:]), v) for cls, bad, v in cases), *not_sequences]
     return cases
 
 
@@ -164,31 +165,89 @@ def _capped_calls():
         "hyperoct_term": lambda: kronstab.hyperoct_term((HD, HD, HD), HYPEROCT, 0),
         "d_real murnaghan": lambda: kronstab.d_real("murnaghan", (H, H, H)),
         "d_real hyperoct": lambda: kronstab.d_real("hyperoct", (HD, HD, HD)),
+        "empirical_scan": lambda: kronstab.empirical_scan((H, H, H), ONE_BOX, 0),
         "weak_stability_probe": lambda: kronstab.weak_stability_probe(H, H, H, 2),
+        "lr": lambda: kronstab.lr(H, H, (2 * HUGE, 2)),
+        "conjugate": lambda: kronstab.conjugate(H),
+        "dim_sn": lambda: kronstab.dim_sn(H),
+        # both halves huge: the binomial of their sizes would never end
+        "dim_wreath": lambda: kronstab.dim_wreath(((HUGE,), (HUGE,))),
+        "schur_product_expand": lambda: kronstab.schur_product_expand((HUGE,), (HUGE,)),
     }
 
 
+# public functions that take a partition and need no cap: huge parts are
+# valid input, and each returns without a step or a cell per box
+CLOSED_FORM = "a closed-form bound only adds and compares parts"
+CAP_FREE = {
+    "add_scaled": "adds each part once",
+    "bound_D1": CLOSED_FORM,
+    "bound_D2": CLOSED_FORM,
+    "bound_DB": CLOSED_FORM,
+    "bound_DB_improved": CLOSED_FORM,
+    "bound_DBOR2": CLOSED_FORM,
+    "bound_DBOR2_improved": CLOSED_FORM,
+    "bound_Dm": CLOSED_FORM,
+    "bound_hyperoct": CLOSED_FORM,
+    "bound_values": CLOSED_FORM,
+    "check_partition": "reads each part once",
+    "dim_gl": "multiplies one factor per pair of rows up to m",
+    "format_partition": "prints each part once",
+}
+
+
+def _huge(slot):
+    return {"partition": H, "double": HD, "base": (H, H, H), "dbase": (HD, HD, HD)}.get(slot.kind)
+
+
+def _with_huge_parts():
+    """Each public function whose input holds partitions: a call with
+    huge parts in every such slot and valid values elsewhere."""
+    calls = {}
+    for name, slots in CALLS.items():
+        args = [s.valid if isinstance(s, Slot) else s for s in slots]
+        huge = [_huge(s) if isinstance(s, Slot) else None for s in slots]
+        if any(h is not None for h in huge):
+            calls[name] = [a if h is None else h for a, h in zip(args, huge)]
+    return calls
+
+
+def _traced_peak(call):
+    """Run ``call`` under tracemalloc: its error, if any, and its peak."""
+    tracemalloc.start()
+    try:
+        call()
+    except Exception as exc:
+        return exc, tracemalloc.get_traced_memory()[1]
+    else:
+        return None, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_huge_parts_hit_the_cap_before_any_allocation():
-    """Every function with a size cap raises ``SizeCapError`` for huge
-    parts, naming the size, before it allocates anything that grows with
-    the parts.  The closed-form bounds have no cap: they only add and
-    compare parts, so huge parts are valid input there, and ``d_real``
-    reaches its cap through its first term, after the certified bound."""
+    """Every public function that takes partitions either has a size cap,
+    and raises ``SizeCapError`` for huge parts, naming them, before it
+    allocates anything that grows with the parts, or is cap-free with a
+    stated reason, and then takes huge parts as valid input at the same
+    small cost.  ``d_real`` reaches its cap through its first term,
+    after the certified bound."""
+    capped = _capped_calls()
+    swept = _with_huge_parts()
+    assert set(CAP_FREE) <= set(swept)
+    assert {name.split()[0] for name in capped} | set(CAP_FREE) >= set(swept)
+    assert not {name.split()[0] for name in capped} & set(CAP_FREE)
+    failures = []
+    for name, call in capped.items():
+        exc, peak = _traced_peak(call)
+        if not isinstance(exc, kronstab.SizeCapError):
+            failures.append(f"{name}: {type(exc).__name__}: {exc}")
+        elif str(HUGE) not in str(exc) or peak > 1 << 16:
+            failures.append(f"{name}: peak {peak} B: {exc}")
+    for name in CAP_FREE:
+        exc, peak = _traced_peak(lambda: getattr(kronstab, name)(*swept[name]))
+        if exc is not None or peak > 1 << 16:
+            failures.append(f"{name}: peak {peak} B: {type(exc).__name__}: {exc}")
+    assert failures == []
     assert kronstab.bound_values("murnaghan", H, H, H)["Dm"] == 0
     assert kronstab.bound_hyperoct(HD, HD, HD) == 0
-    failures = []
-    for name, call in _capped_calls().items():
-        tracemalloc.start()
-        try:
-            call()
-        except kronstab.SizeCapError as exc:
-            peak = tracemalloc.get_traced_memory()[1]
-            if str(HUGE) not in str(exc) or peak > 1 << 16:
-                failures.append(f"{name}: peak {peak} B: {exc}")
-        except Exception as exc:
-            failures.append(f"{name}: {type(exc).__name__}: {exc}")
-        else:
-            failures.append(f"{name}: no error")
-        finally:
-            tracemalloc.stop()
-    assert failures == []

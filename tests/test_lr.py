@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from kronstab.lr import _skew, lr, schur_product_expand
-from kronstab.partitions import PartitionError, dim_gl, dim_sn, partitions_of
+from kronstab.partitions import PartitionError, check_partition, dim_gl, dim_sn, partitions_of
 
 from oracles import is_horizontal_strip, lr_oracle
 
@@ -62,11 +62,14 @@ def test_product_expansion_against_brute_force_fillings():
 
 def test_product_expansion_matches_pointwise_lr():
     # the two engines share no code, so each checks the other; the
-    # expansion holds no zero coefficients and no shape of another size
+    # expansion holds no zero coefficients and no shape of another size,
+    # and its keys are partitions: no zero row of the walk is left over
     for lam, mu in _pairs(6, 6):
         n = sum(lam) + sum(mu)
         expected = {nu: c for nu in partitions_of(n) if (c := lr(lam, mu, nu))}
-        assert schur_product_expand(lam, mu) == expected
+        expansion = schur_product_expand(lam, mu)
+        assert [check_partition(nu) for nu in expansion] == list(expansion)
+        assert expansion == expected
 
 
 def test_product_expansion_is_symmetric():
@@ -111,6 +114,17 @@ def test_long_shapes_do_not_exhaust_the_stack():
         assert lr((1,) * k, (1,) * k, (2,) * k) == 1
     assert lr((1200,), (1200,), (1200, 1200)) == 1
     assert lr((1200,), (1200,), (2398, 1, 1)) == 0
+
+
+def test_long_product_expansions_do_not_exhaust_the_stack():
+    # strips with more cells, or more rows, than the recursion limit: a
+    # walk that recursed once per cell or per row would raise
+    # RecursionError.  s_k s_k is the sum of s_(2k-j, j) over j <= k,
+    # and 1^k x 1^k transposes to it.
+    k = sys.getrecursionlimit() + 10
+    assert len(schur_product_expand((k,), (k,))) == k + 1
+    assert len(schur_product_expand((1,) * k, (1,) * k)) == k + 1
+    assert schur_product_expand((1,) * k, (1,)) == {(2,) + (1,) * (k - 1): 1, (1,) * (k + 1): 1}
 
 
 def test_long_column_times_long_column():
