@@ -47,7 +47,7 @@ from .characters import _memo, _rows, _size
 from .kronecker import _values
 from .lr import _lr, _skew
 from .partitions import _dim_sn, check_count as _check_count
-from .plethysm import _positions
+from .plethysm import _classes
 
 
 def clear_caches(degree: int | None = None) -> dict[str, int]:
@@ -63,15 +63,13 @@ def clear_caches(degree: int | None = None) -> dict[str, int]:
     for name, table in by_degree.items():
         sizes[name] = sum(map(len, table.values()))
         table.clear()
-    functions = {"lr._lr": _lr, "lr._skew": _skew,
-                 "partitions.partitions_of": partitions_of, "partitions._dim_sn": _dim_sn}
+    functions = {"lr._lr": _lr, "lr._skew": _skew, "partitions.partitions_of": partitions_of,
+                 "partitions._dim_sn": _dim_sn, "plethysm._classes": _classes}
     for name, fn in functions.items():
         sizes[name] = fn.cache_info().currsize
         fn.cache_clear()
     sizes["characters._rows"] = len(_rows)
     _rows[:] = [[1]]
-    sizes["plethysm._positions"] = len(_positions)
-    _positions.clear()
     return sizes
 
 

@@ -56,29 +56,37 @@ def _tableaux(lam: Partition, nu: Partition, mu: Partition | None = None) -> dic
     reading word is a lattice word.  Given ``mu`` of size |nu| - |lam|,
     only fillings of content ``mu`` are searched.  A content is keyed by
     its letter counts (|nu| - |lam|, c_1, ..., c_k, 0), k the length of
-    ``mu``, or of ``nu`` without one.  The grid of letters has at most
-    ``CELL_CAP`` slots."""
+    ``mu``, or of ``nu`` without one.  The letters take at most
+    ``CELL_CAP`` slots, one per cell and one per row past a shared zero."""
     # Cells are filled row by row, right to left within each row, so the
     # reading word grows one letter at a time and the lattice property
     # can be enforced incrementally.  The search backtracks along the
     # cells with an index, not by recursion, so long shapes cannot
     # exhaust the stack.
     #
-    # Letters sit in a grid of rows of nu_1 + 1 slots, 0 where none is
-    # placed, below a blank row: the slot above a top cell reads 0 and
-    # the one right of a row's end reads the largest letter, so no cell
+    # Letters sit in one list of slots, 0 where none is placed: a shared
+    # zero slot, then each row's cells of nu/lam from left to right and
+    # one slot holding the largest letter.  The slot right of a cell is
+    # the next one, and ``above[i]`` is the slot above cell i, the zero
+    # slot when that cell is in lam or above the top row, so no cell
     # needs a bounds check.
-    width = nu[0] + 1 if nu else 1
-    slots = width * (len(nu) + 1)
-    if slots > CELL_CAP:
-        raise over_cap(f"grid of {slots} slots for {format_partition(nu)}/{format_partition(lam)}", CELL_CAP)
-    letters = len(nu) if mu is None else len(mu)
     size = sum(nu) - sum(lam)
+    slots = 1 + size + len(nu)
+    if slots > CELL_CAP:
+        raise over_cap(f"{slots} letter slots for {format_partition(nu)}/{format_partition(lam)}", CELL_CAP)
+    letters = len(nu) if mu is None else len(mu)
     grid = [0] * slots
+    cells, above = [], []
+    start, up, up_lo = 1, 0, nu[0] if nu else 0
     for r, row in enumerate(nu, 1):
-        grid[r * width + row] = letters
-    cells = [r * width + c for r in range(1, len(nu) + 1)
-             for c in range(nu[r - 1] - 1, part_at(lam, r) - 1, -1)]
+        lo = part_at(lam, r)
+        for c in range(row - 1, lo - 1, -1):
+            cells.append(start + c - lo)
+            above.append(up + c - up_lo if c >= up_lo else 0)
+        up, up_lo = start, lo
+        start += row - lo
+        grid[start] = letters
+        start += 1
     # caps[v] = the letters v to place, any number without a content
     caps = (0, *mu) if mu is not None else (0,) + (size,) * letters
     # counts[v] = letters v placed so far; counts[0] = size stays out of
@@ -98,7 +106,7 @@ def _tableaux(lam: Partition, nu: Partition, mu: Partition | None = None) -> dic
         if v:
             counts[v] -= 1
         # rows weakly increase to the right, columns strictly downward
-        v = max(v, grid[pos - width]) + 1
+        v = max(v, grid[above[i]]) + 1
         hi = grid[pos + 1]
         while v <= hi and (counts[v] >= caps[v] or counts[v] >= counts[v - 1]):
             # with no v - 1 placed yet, the lattice condition rules out

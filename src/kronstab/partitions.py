@@ -7,7 +7,7 @@ is well defined for every ``k >= 1``.
 
 from functools import cache, lru_cache
 from itertools import zip_longest
-from math import factorial, inf
+from math import comb, factorial, inf
 from operator import ge
 
 
@@ -274,18 +274,24 @@ def dim_gl(lam: Partition, m: int) -> int:
     Computed by the Weyl dimension formula: the integer products of the
     numerators ``lam_i - lam_j + j - i`` and of the denominators
     ``j - i`` over ``i < j <= m``, then one exact division.  Factors with
-    ``i > len(lam)`` equal 1 and are skipped.  Zero when ``lam`` has more
-    than ``m`` rows.  ``lam`` is validated first, as a list or a tuple.
+    ``i > len(lam)`` equal 1 and are skipped; for each row i, those with
+    ``j > l = len(lam)``, where ``lam_j = 0``, multiply to
+    ``C(lam_i + m - i, m - l)`` over ``C(m - i, m - l)``.  Zero when
+    ``lam`` has more than ``m`` rows.  ``lam`` is validated first, as a
+    list or a tuple.
     """
     lam = check_partition(lam)
     check_count(m, "m")
-    if len(lam) > m:
+    l = len(lam)
+    if l > m:
         return 0
     num = den = 1
-    for i in range(1, len(lam) + 1):
-        for j in range(i + 1, m + 1):
-            num *= part_at(lam, i) - part_at(lam, j) + j - i
+    for i, a in enumerate(lam, 1):
+        for j in range(i + 1, l + 1):
+            num *= a - lam[j - 1] + j - i
             den *= j - i
+        num *= comb(a + m - i, m - l)
+        den *= comb(m - i, m - l)
     dim, rem = divmod(num, den)
     if rem:
         raise ConsistencyError(f"Weyl dimension {num}/{den} of {lam} for GL({m}) is not an integer")

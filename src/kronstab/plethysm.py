@@ -20,13 +20,14 @@ and takes each ``p_rho[g]`` as a product over the distinct parts of
 rho: at most four factors at degree 12, rather than one per part.
 """
 
+from functools import cache
 from math import factorial, gcd
 from operator import mul
 from typing import NamedTuple
 
 from .partitions import ConsistencyError, Partition, check_partition, format_partition, format_triple, over_cap, partitions_of
 # ``character`` stays a name here: perfbench traces ``plethysm.character``.
-from .characters import _rows, character, column, size_column
+from .characters import character, column, count, size_column
 
 DEGREE_CAP = 24
 BITS = DEGREE_CAP.bit_length()
@@ -87,26 +88,15 @@ def _decode(code: int) -> Partition:
     return tuple(j for j, m in _runs(code) for _ in range(m))
 
 
-# Class position of each code met so far; a code fixes its size, so one
-# map serves every degree.  It holds only indices that occurred: at most
-# the partitions of the sizes up to ``DEGREE_CAP``, about 7 300.
-_positions: dict[int, int] = {}
-
-
-def _position(code: int, n: int) -> int:
-    """Class position (``characters.rank``) of a coded index of size
-    ``n``.  ``rank``'s terms ``count(n', j - 1)`` telescope, for a run of
-    m parts j, to ``count(n, j) - count(n - m*j, j)``, read here from the
-    ``characters._rows`` that the caller's ``column`` of degree n built."""
-    r = _positions.get(code)
-    if r is None:
-        r = 0
-        for j, m in _runs(code):
-            rest = n - m * j
-            r += _rows[n][j] - _rows[rest][min(j, rest)]
-            n = rest
-        _positions[code] = r
-    return r
+@cache
+def _classes(n: int) -> dict[int, int]:
+    """Class position of each coded index of size ``n``.  By the block
+    rule of class order the classes of m are, for k from 1 up, k followed
+    by each of the first ``count(m - k, k)`` classes of m - k."""
+    codes = [[0]]
+    for m in range(1, n + 1):
+        codes.append([c + (1 << BITS * (k - 1)) for k in range(1, m + 1) for c in codes[m - k][:count(m - k, k)]])
+    return {c: i for i, c in enumerate(codes[n])}
 
 
 def _times(x: dict[int, int], y: dict[int, int], out: dict[int, int] | None = None) -> dict[int, int]:
@@ -208,7 +198,8 @@ def plethysm_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     comp, denom = _compose(schur_to_powersum(lam), schur_to_powersum(mu))
     # The top field of the largest code is the largest part of any index.
     col = column(nu, (max(comp).bit_length() + BITS - 1) // BITS)
-    total = sum(c * col[_position(code, deg)] for code, c in comp.items())
+    index = _classes(deg)
+    total = sum(c * col[index[code]] for code, c in comp.items())
     coeff, rem = divmod(total, denom)
     if rem or coeff < 0:
         raise ConsistencyError(

@@ -191,7 +191,7 @@ CAP_FREE = {
     "bound_hyperoct": CLOSED_FORM,
     "bound_values": CLOSED_FORM,
     "check_partition": "reads each part once",
-    "dim_gl": "multiplies one factor per pair of rows up to m",
+    "dim_gl": "one binomial per row",
     "format_partition": "prints each part once",
 }
 

@@ -116,6 +116,13 @@ def test_long_shapes_do_not_exhaust_the_stack():
     assert lr((1200,), (1200,), (2398, 1, 1)) == 0
 
 
+def test_letter_slots_grow_with_the_skew_cells_not_the_box():
+    # nu/lam is one row of 2^14 cells inside a 2^15 box: its letters take
+    # 2^14 + 2 slots, far under CELL_CAP, where a grid over the box of nu
+    # would not fit
+    assert lr((2**14,), (2**14,), (2**15,)) == 1
+
+
 def test_long_product_expansions_do_not_exhaust_the_stack():
     # strips with more cells, or more rows, than the recursion limit: a
     # walk that recursed once per cell or per row would raise

@@ -149,6 +149,14 @@ def test_dim_gl_against_tableau_count():
                 assert dim_gl(lam, n) == len(ssyt_weights(lam, n))
 
 
+def test_dim_gl_rows_past_the_shape_in_closed_form():
+    # The rows past len(lam) cost one binomial each, not a loop up to m.
+    assert dim_gl((1,), 10**6) == 10**6
+    assert dim_gl((5,), 10**4) == math.comb(10**4 + 4, 5)
+    a = 10**18
+    assert dim_gl((a, 1), 3) == a * (a + 2)
+
+
 def test_dimensions_validate_their_shape():
     # Validated before the cache: a list works, and a non-partition is a
     # PartitionError, not a failed exactness check or a silent 0.

@@ -9,6 +9,8 @@ from kronstab.plethysm import (
     BITS,
     DEGREE_CAP,
     SymFunc,
+    _classes,
+    _code,
     _compose,
     plethysm_coeff,
     plethysm_powersum,
@@ -37,6 +39,11 @@ def _composition_agrees(lam, mu):
     comp = plethysm_powersum(f, g)
     assert comp == powersum_composition(f, g)
     return comp
+
+
+def test_class_map_follows_class_order():
+    for n in range(DEGREE_CAP + 1):
+        assert _classes(n) == {_code(rho): i for i, rho in enumerate(reversed(partitions_of(n)))}
 
 
 def test_coded_composition_against_tuple_reference():

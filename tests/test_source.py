@@ -152,6 +152,37 @@ def test_kind_of_a_triple_is_declared_not_sniffed():
     assert found == []
 
 
+def test_modules_import_no_private_names_of_others():
+    # A module uses another's ``_``-prefixed names only where the coupling
+    # is listed here with its reason; otherwise it goes through the public
+    # functions, so a private table can change in its own module alone.
+    allowed = {
+        "__init__": "the cache handles that clear_caches empties",
+        "hyperoct <- lr._skew": "the coproduct rows that lr caches",
+        "lr <- partitions._conjugate": "the unchecked core, on shapes lr has checked",
+    }
+    found = []
+    for path in sorted(Path(kronstab.__file__).parent.rglob("*.py")):
+        importer = path.stem
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {}  # local name of each sibling module imported whole
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("kronstab")):
+                source = (node.module or "").removeprefix("kronstab").strip(".")
+                for alias in node.names:
+                    if not source:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        found.append(f"{importer} <- {source}.{alias.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                    and getattr(node.value, "id", None) in modules:
+                found.append(f"{importer} <- {modules[node.value.id]}.{node.attr}")
+    assert [f for f in found if f not in allowed and f.split()[0] not in allowed] == []
+    # and no entry outlives its coupling
+    assert set(allowed) <= set(found) | {f.split()[0] for f in found}
+
+
 def test_star_import_binds_no_modules():
     namespace = {}
     exec("from kronstab import *", namespace)
@@ -163,7 +194,6 @@ def test_clear_caches_empties_every_cache():
     from kronstab import clear_caches, dim_sn, hyperoct_coeff, kron, lr, plethysm_coeff
     from kronstab.characters import _memo, _rows, _size
     from kronstab.kronecker import _values, kron_block
-    from kronstab.plethysm import _positions
 
     kron((2, 1), (2, 1), (2, 1))
     kron_block((2, 1), [(2, 1)], [(3,)])
@@ -181,7 +211,7 @@ def test_clear_caches_empties_every_cache():
         if hasattr(value, "cache_info") and value.cache_info().currsize
     ]
     assert cached == []
-    assert not _memo and not _size and not _values and not _positions
+    assert not _memo and not _size and not _values
 
 
 def test_exactness_errors_survive_optimisation():
