@@ -43,7 +43,7 @@ from .stabilization import (
     hyperoct_term,
     sequence_term,
 )
-from .characters import _memo, _rows, _size
+from .characters import _memo, _row, _size
 from .kronecker import _values
 from .lr import _lr, _skew
 from .partitions import _dim_sn, check_count as _check_count
@@ -63,13 +63,12 @@ def clear_caches(degree: int | None = None) -> dict[str, int]:
     for name, table in by_degree.items():
         sizes[name] = sum(map(len, table.values()))
         table.clear()
-    functions = {"lr._lr": _lr, "lr._skew": _skew, "partitions.partitions_of": partitions_of,
-                 "partitions._dim_sn": _dim_sn, "plethysm._classes": _classes}
+    functions = {"characters._row": _row, "lr._lr": _lr, "lr._skew": _skew,
+                 "partitions.partitions_of": partitions_of, "partitions._dim_sn": _dim_sn,
+                 "plethysm._classes": _classes}
     for name, fn in functions.items():
         sizes[name] = fn.cache_info().currsize
         fn.cache_clear()
-    sizes["characters._rows"] = len(_rows)
-    _rows[:] = [[1]]
     return sizes
 
 

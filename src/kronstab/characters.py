@@ -21,12 +21,13 @@ and part, not once per class.  Columns are cached as
 ``_memo[n][mask]``, class sizes as ``_size[n]`` (``size_column``), both
 extended block by block as far as a caller needs; the strip loop reads
 a long enough column from the cache and recurses only to build or
-extend one.  Both read every prefix and block length from one table,
-``_rows[n][k] == count(n, k)``, grown a row at a time on demand and not
+extend one.  Both read every prefix and block length from one cached
+row per degree, ``_row(n)[k] == count(n, k)``, built on demand and not
 at import.  ``kron`` and ``hyperoct`` reuse full columns across calls.
 """
 
 from collections import defaultdict
+from functools import cache
 from itertools import accumulate
 from math import perm
 from operator import add, neg, sub
@@ -42,16 +43,15 @@ KRON_SIZE_CAP = 50
 _memo: dict[int, dict[int, list[int]]] = defaultdict(dict)
 # Class sizes by degree, in class order, extended like columns.
 _size: dict[int, list[int]] = {}
-# Class counts by degree: ``_rows[n][k] == count(n, k)`` for 0 <= k <= n.
-_rows: list[list[int]] = [[1]]
 
 
+@cache
 def _row(n: int) -> list[int]:
-    """``[count(n, 0), ..., count(n, n)]``: row n of ``_rows``, grown to
-    it on demand by ``count(m, k) = count(m, k - 1) + count(m - k, k)``."""
-    for m in range(len(_rows), n + 1):
-        _rows.append(list(accumulate((_rows[m - k][min(k, m - k)] for k in range(1, m + 1)), initial=0)))
-    return _rows[n]
+    """``[count(n, 0), ..., count(n, n)]``, by ``count(n, k) =
+    count(n, k - 1) + count(n - k, k)``; the cached list, n levels deep."""
+    if n == 0:
+        return [1]
+    return list(accumulate((_row(n - k)[min(k, n - k)] for k in range(1, n + 1)), initial=0))
 
 
 def count(n: int, k: int) -> int:
@@ -78,13 +78,12 @@ def beta_mask(lam: Partition) -> int:
 
 def _column(mask: int, n: int, k: int) -> list[int]:
     """Character of the shape ``mask`` (of size ``n``) on at least the
-    first ``count(n, k)`` classes of n; the cache's own list.  The rows
-    of ``_rows`` up to n must be built."""
+    first ``count(n, k)`` classes of n; the cache's own list."""
     table = _memo[n]
     col = table.get(mask)
     if col is None:
         col = table[mask] = [1] if n == 0 else []
-    row = _rows[n]
+    row = _row(n)
     if len(col) >= row[min(k, n)]:
         return col
     # A column is a whole number of blocks, so its length is in the row;
@@ -122,7 +121,6 @@ def column(lam: Partition, max_part: int | None = None) -> list[int]:
     with parts at most ``max_part``.  The list is cached; do not change
     it."""
     n = sum(lam)
-    _row(n)
     return _column(beta_mask(lam), n, n if max_part is None else max_part)
 
 
@@ -134,7 +132,7 @@ def _sizes(n: int, k: int) -> list[int]:
     col = _size.get(n)
     if col is None:
         col = _size[n] = [1] if n == 0 else []
-    row = _rows[n]
+    row = _row(n)
     if len(col) >= row[min(k, n)]:
         return col
     for j in range(row.index(len(col)) + 1, min(k, n) + 1):
@@ -143,15 +141,14 @@ def _sizes(n: int, k: int) -> list[int]:
             # the ways to pick m disjoint j-cycles from n points
             f = f * perm(n - (m - 1) * j, j) // (j * m)
             rest = n - m * j
-            col += [f * s for s in _sizes(rest, j - 1)[: _rows[rest][min(j - 1, rest)]]]
+            col += [f * s for s in _sizes(rest, j - 1)[: _row(rest)[min(j - 1, rest)]]]
     return col
 
 
 def size_column(n: int) -> list[int]:
     """Size ``n!/z(rho)`` of each class of n, in class order: the cached list; do not change it."""
     col = _size.get(n)
-    if col is None or len(col) < _rows[n][-1]:
-        _row(n)
+    if col is None or len(col) < _row(n)[-1]:
         col = _sizes(n, n)
     return col
 

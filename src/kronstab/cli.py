@@ -40,10 +40,10 @@ def cmd_kron(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    triple = _parse_triple(args.triple, FAMILIES[args.family].double)
-    values = list(bound_values(args.family, *triple).items())
-    for name, value in values if args.all else values[:1]:
-        print(f"{name} = {value}")
+    record = FAMILIES[args.family]
+    values = bound_values(args.family, *_parse_triple(args.triple, record.double))
+    for name in values if args.all else [record.certified]:
+        print(f"{name} = {values[name]}")
     return 0
 
 
@@ -51,11 +51,13 @@ def cmd_dreal(args) -> int:
     double = FAMILIES[args.family].double
     base = _parse_triple(args.triple, double)
     if args.direction is None:
+        if args.horizon is not None:
+            raise ValueError("--horizon needs --direction: it is the horizon of a custom scan")
         res = d_real(args.family, base)
     elif double:
         raise ValueError(f"--direction is for Kronecker sequences only, not {args.family}")
     else:
-        res = empirical_scan(base, _parse_triple(args.direction), args.horizon)
+        res = empirical_scan(base, _parse_triple(args.direction), 10 if args.horizon is None else args.horizon)
     print(f"d_real = {res.d_real}")
     print(f"limit = {res.limit}")
     print(f"sequence = {list(res.sequence)}")
@@ -155,11 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("triple", help='e.g. "2,1 / 2,1 / 2,1"')
     sp.set_defaults(func=cmd_kron)
 
-    sp = sub.add_parser("bound", help="stabilization bounds for a triple")
+    sp = sub.add_parser("bound", help="the certified stabilization bound of a triple")
     sp.add_argument("family", choices=list(FAMILIES))
     sp.add_argument("triple")
     sp.add_argument("--all", action="store_true",
-                    help="print every bound of the family, not only the first")
+                    help="print every bound of the family, not only the certified one")
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("dreal", help="certified true stabilization index")
@@ -167,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("triple")
     sp.add_argument("--direction", default=None,
                     help="custom growth direction of partitions (uncertified scan)")
-    sp.add_argument("--horizon", type=int, default=10,
-                    help="scan horizon for a custom direction")
+    sp.add_argument("--horizon", type=int, default=None,
+                    help="scan horizon for a custom direction (default 10)")
     sp.set_defaults(func=cmd_dreal)
 
     sp = sub.add_parser("plethysm", help="plethysm coefficient")

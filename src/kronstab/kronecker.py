@@ -9,8 +9,9 @@ from collections import defaultdict
 from math import factorial
 from operator import mul
 
-# ConsistencyError and character are re-exported for existing importers.
-from .partitions import ConsistencyError, Partition, check_count, check_partition, check_triple, format_partition, format_triple, over_cap
+# ConsistencyError is re-exported for existing importers; ``character``
+# stays a name here: perfbench traces ``kronecker.character``.
+from .partitions import ConsistencyError, Partition, check_count, check_triple, format_triple, over_cap
 from .characters import KRON_SIZE_CAP, character, column, size_column
 
 # Block entries by degree, then sorted triple, so memory can be
@@ -55,33 +56,16 @@ def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     return _multiplicity(total, factorial(n), alpha, beta, gamma)
 
 
-def kron_block(delta: Partition, xs, ys) -> dict[Partition, dict[Partition, int]]:
-    """The nonzero ``kron(delta, x, y)`` over x in ``xs`` and y in
-    ``ys``, as ``{x: {y: g}}`` with a row, possibly empty, for every x;
-    the shapes are checked, then built by ``kron_block_unchecked``."""
-    delta = check_partition(delta)
-    xs = [check_partition(x) for x in xs]
-    ys = [check_partition(y) for y in ys]
-    n = sum(delta)
-    for shape in xs + ys:
-        if sum(shape) != n:
-            raise ValueError(
-                f"size {sum(shape)} of {format_partition(shape)} differs from size {n}"
-                f" of {format_partition(delta)}; every shape of a block must have that size"
-            )
-    if n > KRON_SIZE_CAP:
-        raise over_cap(f"size {n} of the block of {format_partition(delta)}", KRON_SIZE_CAP)
-    return kron_block_unchecked(delta, xs, ys)
-
-
 def kron_block_unchecked(delta: Partition, xs, ys) -> dict[Partition, dict[Partition, int]]:
-    """``kron_block(delta, xs, ys)`` for partitions of one size at most
-    ``KRON_SIZE_CAP`` that the caller has checked.  Entries come from
-    the value cache, and only the missing ones are computed: the class
-    sizes are weighted by the character of ``delta`` once and by that of
-    each x once, so each entry is one dot product with the character of
-    y, checked as in ``kron``.  Nothing is weighted for a row whose
-    entries are all cached."""
+    """The nonzero ``kron(delta, x, y)`` over x in ``xs`` and y in
+    ``ys``, as ``{x: {y: g}}`` with a row, possibly empty, for every x,
+    for partitions of one size at most ``KRON_SIZE_CAP`` that the caller
+    has checked.  Entries come from the value cache, and only the
+    missing ones are computed: the class sizes are weighted by the
+    character of ``delta`` once and by that of each x once, so each
+    entry is one dot product with the character of y, checked as in
+    ``kron``.  Nothing is weighted for a row whose entries are all
+    cached."""
     n = sum(delta)
     values = _values[n]
     weighted = None

@@ -6,8 +6,8 @@ partitions half by half.  A family of ``bounds.FAMILIES`` declares its
 kind and the bound B its certified index is read from: the limit is the
 value at d = B, and the true stabilization index is the least d from
 which the sequence already sits at the limit.  Constancy is also checked
-on a margin beyond B; a violation there means the bound was not actually
-a bound, which must never happen for the certified families.
+on the ``MARGIN`` terms beyond B; a violation there means the bound was
+not actually a bound, which must never happen for the certified families.
 
 When a Kronecker direction itself has g(a, b, c) >= 1 the sequence is
 weakly increasing: multiplying by that nonzero covariant is injective,
@@ -22,6 +22,9 @@ from . import bounds
 from .partitions import ConsistencyError, add_scaled, check_count, check_triple, format_triple
 from .kronecker import kron
 from .hyperoct import hyperoct_coeff
+
+# How many terms past the certified bound ``d_real`` checks to be constant.
+MARGIN = 2
 
 
 class CertificateViolationError(RuntimeError):
@@ -82,17 +85,16 @@ def _result(seq, start: int, certificate: str, certified: bool) -> Stabilization
     return StabilizationResult(idx, seq[start], seq, certificate, certified)
 
 
-def d_real(family: str, base, margin: int = 2) -> StabilizationResult:
+def d_real(family: str, base) -> StabilizationResult:
     """Certified true stabilization index of the family's sequence from
     ``base``.  The limit is read at d = B for the family's certified bound
     B, looked up at call time as ``bound_values`` does, not inferred from
-    repeated equal values: the sequence is evaluated on [0, B + margin]
-    and must be constant on [B, B + margin]."""
+    repeated equal values: the sequence is evaluated on [0, B + MARGIN]
+    and must be constant on [B, B + MARGIN]."""
     record = bounds.family_record(family)
-    check_count(margin, "margin")
     base = check_triple(base, record.double)
     bound = getattr(bounds, record.bounds[record.certified])(*base)
-    horizon = bound + margin
+    horizon = bound + MARGIN
     seq = _sequence(base, record.direction, horizon, record.double)
     if any(v != seq[bound] for v in seq[bound:]):
         raise CertificateViolationError(

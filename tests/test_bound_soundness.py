@@ -19,9 +19,8 @@ import pytest
 
 from kronstab.bounds import FAMILIES, bound_values
 from kronstab.partitions import partitions_of
-from kronstab.stabilization import hyperoct_term, sequence_term
+from kronstab.stabilization import MARGIN, hyperoct_term, sequence_term
 
-MARGIN = 2
 MAX_SIZE = {"murnaghan": 8, "squares": 7, "hyperoct": 5}
 
 

@@ -58,6 +58,13 @@ def test_bound_all(capsys):
     assert values["Dm"] == "5"
 
 
+def test_bound_prints_the_certified_bound(capsys):
+    # D1 = 6 comes first in display order; dreal certifies with Dm = 5
+    assert FAMILIES["murnaghan"].certified == "Dm"
+    code, out, _ = run(capsys, "bound", "murnaghan", "8,5,2 / 6,5,2,2 / 4,4,3,3,1")
+    assert code == 0 and out == "Dm = 5\n"
+
+
 def test_bound_degenerate_triple(capsys):
     # two single-row partitions: every murnaghan bound is 0
     code, out, _ = run(capsys, "bound", "murnaghan", "3 / 3 / 2,1", "--all")
@@ -134,6 +141,14 @@ def test_dreal_custom_direction(capsys):
         "--direction", "1,1 / 1,1 / 2", "--horizon", "4",
     )
     assert code == 0 and "empirical" in out
+
+
+def test_dreal_horizon_needs_a_direction(capsys):
+    code, out, err = run(capsys, "dreal", "murnaghan", "2,1 / 2,1 / 2,1", "--horizon", "4")
+    assert code == 1 and out == ""
+    assert err == "error: --horizon needs --direction: it is the horizon of a custom scan\n"
+    code, out, _ = run(capsys, "dreal", "murnaghan", "2,1 / 2,1 / 2,1", "--direction", "1 / 1 / 1")
+    assert code == 0 and "certificate = empirical (horizon 10)" in out
 
 
 def test_dreal_hyperoct(capsys):

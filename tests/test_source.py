@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import kronstab
 from kronstab.partitions import SizeCapError
 
@@ -192,19 +194,17 @@ def test_star_import_binds_no_modules():
 
 def test_clear_caches_empties_every_cache():
     from kronstab import clear_caches, dim_sn, hyperoct_coeff, kron, lr, plethysm_coeff
-    from kronstab.characters import _memo, _rows, _size
-    from kronstab.kronecker import _values, kron_block
+    from kronstab.characters import _memo, _size
+    from kronstab.kronecker import _values
 
     kron((2, 1), (2, 1), (2, 1))
-    kron_block((2, 1), [(2, 1)], [(3,)])
     lr((1,), (1,), (2,))
     hyperoct_coeff(((1,), (1,)), ((1,), (1,)), ((1, 1), ()))
     plethysm_coeff((2,), (2,), (4,))
     dim_sn((3, 1))
-    held = len(_rows)
     sizes = clear_caches()
     assert [name for name, size in sizes.items() if not size] == []
-    assert sizes["characters._rows"] == held > 1 and _rows == [[1]]
+    assert sizes["characters._row"] > 1
     modules = [importlib.import_module(f"kronstab.{m.name}") for m in pkgutil.iter_modules(kronstab.__path__)]
     cached = [
         f"{module.__name__}.{name}" for module in modules for name, value in vars(module).items()
@@ -212,6 +212,13 @@ def test_clear_caches_empties_every_cache():
     ]
     assert cached == []
     assert not _memo and not _size and not _values
+
+
+def test_distribution_is_named_and_versioned_as_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(__file__).parents[1] / "pyproject.toml"
+    project = tomllib.loads(path.read_text())["project"]
+    assert (project["name"], project["version"]) == ("kronstab", kronstab.__version__)
 
 
 def test_exactness_errors_survive_optimisation():
@@ -247,7 +254,7 @@ def test_import_builds_no_class_count_rows():
     # The rows of class counts are grown when a column or class sizes
     # first need them; building them at import would add to the start-up
     # time of every process.
-    assert _fresh_import("print(len(kronstab.characters._rows))") == "1\n"
+    assert _fresh_import("print(kronstab.characters._row.cache_info().currsize)") == "0\n"
 
 
 def test_product_expansion_independent_of_lr():

@@ -6,6 +6,7 @@ from kronstab.lr import lr
 from kronstab.fixtures import TABLE_1, TABLE_2
 from kronstab.partitions import ConsistencyError, PartitionError, add_scaled
 from kronstab.stabilization import (
+    MARGIN,
     CertificateViolationError,
     d_real,
     empirical_scan,
@@ -99,10 +100,14 @@ def test_sequence_invariants():
 
 
 def test_margin_independence():
+    # the limit holds past the checked window, so a wider one would
+    # certify the same index
     for idx in (1, 7, 8, 9):
         triple = TABLE_1.rows[idx].triple
-        values = {d_real("murnaghan", triple, margin=m).d_real for m in range(5)}
-        assert len(values) == 1
+        res = d_real("murnaghan", triple)
+        b = bound_values("murnaghan", *triple)[res.certificate]
+        assert res.horizon == b + MARGIN
+        assert [sequence_term(triple, ONE_BOX, d) for d in (b + MARGIN + 1, b + MARGIN + 2)] == [res.limit] * 2
 
 
 def test_shift_consistency():
@@ -123,11 +128,11 @@ def test_certificate_violation_detected(monkeypatch):
     monkeypatch.setattr(bounds, "bound_Dm", lambda *triple: 0)
     triple = TABLE_1.rows[1].triple
     with pytest.raises(CertificateViolationError) as info:
-        d_real("murnaghan", triple, margin=3)
+        d_real("murnaghan", triple)
     message = str(info.value)
     assert message.startswith("Dm = 0 is not a bound for ")
     assert "4,3,3 / 3,2^3,1 / 2^3,1^4 along 1 / 1 / 1" in message
-    assert "not constant on [0, 3]" in message
+    assert "not constant on [0, 2]" in message
 
 
 @pytest.mark.parametrize("scan", [
@@ -211,14 +216,10 @@ def test_empirical_scan_is_labeled():
 
 def test_invalid_inputs():
     with pytest.raises(ValueError):
-        d_real("murnaghan", ((1,), (1,), (1,)), -1)
-    with pytest.raises(ValueError):
         empirical_scan(((1,), (1,), (1,)), ONE_BOX, -2)
     with pytest.raises(ValueError, match=r"^unknown bound family 'nope'$"):
         d_real("nope", ((1,), (1,), (1,)))
     # non-integers are named here, not by ``range`` deep inside
-    with pytest.raises(ValueError, match=r"^margin must be an integer of at least 0, got 2\.0$"):
-        d_real("murnaghan", ((1,), (1,), (1,)), margin=2.0)
     with pytest.raises(ValueError, match=r"^horizon must be an integer of at least 0, got 2\.0$"):
         empirical_scan(((1,), (1,), (1,)), ONE_BOX, 2.0)
 
