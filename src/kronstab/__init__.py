@@ -13,6 +13,7 @@ from .partitions import (
     dim_gl,
     dim_sn,
     format_partition,
+    parse_double_partition,
     parse_partition,
     part_at,
     partitions_of,
@@ -21,7 +22,7 @@ from .characters import character
 from .kronecker import ConsistencyError, kron, weak_stability_probe
 from .lr import lr, schur_product_expand
 from .plethysm import plethysm_coeff
-from .hyperoct import dim_wreath, hyperoct_coeff, parse_double_partition
+from .hyperoct import dim_wreath, hyperoct_coeff
 from .bounds import (
     FAMILIES,
     DegenerateTripleError,
@@ -46,26 +47,21 @@ from .stabilization import (
 from .characters import _memo, _row, _size
 from .kronecker import _values
 from .lr import _lr, _skew
-from .partitions import _dim_sn, check_count as _check_count
 from .plethysm import _classes
 
 
-def clear_caches(degree: int | None = None) -> dict[str, int]:
-    """Empty every cache of the package, or, given a degree, drop only
-    that degree's character columns, class sizes and Kronecker values.
-    Returns how many entries each cache it clears held before the call:
-    columns, class sizes and values of the degree, or of all degrees."""
-    by_degree = {"characters._memo": _memo, "characters._size": _size, "kronecker._values": _values}
-    if degree is not None:
-        _check_count(degree, "degree")
-        return {name: len(table.pop(degree, ())) for name, table in by_degree.items()}
-    sizes = {}
-    for name, table in by_degree.items():
-        sizes[name] = sum(map(len, table.values()))
+def clear_caches() -> dict[str, int]:
+    """Empty every cache of the package.  Returns how many entries each
+    cache held before the call."""
+    sizes = {
+        "characters._memo": sum(map(len, _memo.values())),
+        "characters._size": sum(map(len, _size.values())),
+        "kronecker._values": len(_values),
+    }
+    for table in (_memo, _size, _values):
         table.clear()
     functions = {"characters._row": _row, "lr._lr": _lr, "lr._skew": _skew,
-                 "partitions.partitions_of": partitions_of, "partitions._dim_sn": _dim_sn,
-                 "plethysm._classes": _classes}
+                 "partitions.partitions_of": partitions_of, "plethysm._classes": _classes}
     for name, fn in functions.items():
         sizes[name] = fn.cache_info().currsize
         fn.cache_clear()

@@ -38,8 +38,9 @@ from .partitions import Partition, PartitionError, check_partition, format_parti
 # a second; a full column of n holds p(n) values (p(50) = 204 226).
 KRON_SIZE_CAP = 50
 
-# Character columns by degree (size of the shape), then shape mask, so
-# memory can be reclaimed degree by degree between large runs.
+# Character columns by degree (size of the shape), then shape mask: the
+# strip loop reads the columns of degree ``n - part`` as one table, and
+# the benchmark's worker counts the entries degree by degree.
 _memo: dict[int, dict[int, list[int]]] = defaultdict(dict)
 # Class sizes by degree, in class order, extended like columns.
 _size: dict[int, list[int]] = {}

@@ -11,10 +11,10 @@ import io
 import json
 import sys
 
-from .partitions import PartitionError, parse_partition
+from .partitions import parse_triple
 from .kronecker import kron
 from .plethysm import plethysm_coeff
-from .hyperoct import hyperoct_coeff, parse_double_partition
+from .hyperoct import hyperoct_coeff
 from .bounds import FAMILIES, bound_values
 from .stabilization import (
     CertificateViolationError,
@@ -24,16 +24,8 @@ from .stabilization import (
 from .fixtures import TABLES, evaluate_row
 
 
-def _parse_triple(text: str, double: bool = False):
-    parts = text.split("/")
-    if len(parts) != 3:
-        kind = "double partitions" if double else "partitions"
-        raise PartitionError(f"expected three '/'-separated {kind}, got {len(parts)}")
-    return tuple(map(parse_double_partition if double else parse_partition, parts))
-
-
 def cmd_kron(args) -> int:
-    lam, mu, nu = _parse_triple(args.triple)
+    lam, mu, nu = parse_triple(args.triple)
     value = kron(lam, mu, nu)
     print(f"n = {sum(lam)}\n{value}")
     return 0
@@ -41,7 +33,7 @@ def cmd_kron(args) -> int:
 
 def cmd_bound(args) -> int:
     record = FAMILIES[args.family]
-    values = bound_values(args.family, *_parse_triple(args.triple, record.double))
+    values = bound_values(args.family, *parse_triple(args.triple, record.double))
     for name in values if args.all else [record.certified]:
         print(f"{name} = {values[name]}")
     return 0
@@ -49,7 +41,7 @@ def cmd_bound(args) -> int:
 
 def cmd_dreal(args) -> int:
     double = FAMILIES[args.family].double
-    base = _parse_triple(args.triple, double)
+    base = parse_triple(args.triple, double)
     if args.direction is None:
         if args.horizon is not None:
             raise ValueError("--horizon needs --direction: it is the horizon of a custom scan")
@@ -57,7 +49,7 @@ def cmd_dreal(args) -> int:
     elif double:
         raise ValueError(f"--direction is for Kronecker sequences only, not {args.family}")
     else:
-        res = empirical_scan(base, _parse_triple(args.direction), 10 if args.horizon is None else args.horizon)
+        res = empirical_scan(base, parse_triple(args.direction), 10 if args.horizon is None else args.horizon)
     print(f"d_real = {res.d_real}")
     print(f"limit = {res.limit}")
     print(f"sequence = {list(res.sequence)}")
@@ -66,13 +58,13 @@ def cmd_dreal(args) -> int:
 
 
 def cmd_plethysm(args) -> int:
-    lam, mu, nu = _parse_triple(args.triple)
+    lam, mu, nu = parse_triple(args.triple)
     print(plethysm_coeff(lam, mu, nu))
     return 0
 
 
 def cmd_hyperoct(args) -> int:
-    alpha, beta, gamma = _parse_triple(args.triple, double=True)
+    alpha, beta, gamma = parse_triple(args.triple, double=True)
     print(hyperoct_coeff(alpha, beta, gamma))
     return 0
 

@@ -17,27 +17,13 @@ Kronecker values shared by every block and computed only when missing.
 from itertools import product
 from math import comb
 
-from .partitions import DoublePartition, Partition, PartitionError, check_count, check_double_partition, contains, dim_sn, format_triple, over_cap, parse_partition, partitions_of, total_size
+from .partitions import DoublePartition, Partition, check_count, check_double_partition, contains, dim_sn, format_triple, over_cap, partitions_of, total_size
 # ``kron`` and ``lr`` stay names here: perfbench traces ``hyperoct.kron``
 # and ``hyperoct.lr``.
 from .kronecker import kron, kron_block_unchecked
 from .lr import _skew, lr
 
 SIZE_CAP = 20
-
-
-def parse_double_partition(text: str) -> DoublePartition:
-    """Parse ``"plus;minus"``, each side in the partition grammar.
-
-    >>> parse_double_partition("2;2")
-    ((2,), (2,))
-    >>> parse_double_partition("1;-")
-    ((1,), ())
-    """
-    if not isinstance(text, str) or ";" not in text:
-        raise PartitionError(f"double partition needs a ';' separator, got {text!r}")
-    plus, _, minus = text.partition(";")
-    return parse_partition(plus), parse_partition(minus)
 
 
 def dim_wreath(alpha: DoublePartition) -> int:

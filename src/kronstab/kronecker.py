@@ -5,7 +5,6 @@ is symmetric in its three shapes, so every order of a triple reads one
 entry, and a block computes only its missing entries.
 """
 
-from collections import defaultdict
 from math import factorial
 from operator import mul
 
@@ -14,9 +13,7 @@ from operator import mul
 from .partitions import ConsistencyError, Partition, check_count, check_triple, format_triple, over_cap
 from .characters import KRON_SIZE_CAP, character, column, size_column
 
-# Block entries by degree, then sorted triple, so memory can be
-# reclaimed degree by degree as for the character columns.
-_values: dict[int, dict[tuple[Partition, Partition, Partition], int]] = defaultdict(dict)
+_values: dict[tuple[Partition, Partition, Partition], int] = {}
 
 
 def _multiplicity(total: int, nfact: int, alpha, beta, gamma) -> int:
@@ -67,7 +64,6 @@ def kron_block_unchecked(delta: Partition, xs, ys) -> dict[Partition, dict[Parti
     ``kron``.  Nothing is weighted for a row whose entries are all
     cached."""
     n = sum(delta)
-    values = _values[n]
     weighted = None
     block = {}
     for x in xs:
@@ -77,13 +73,13 @@ def kron_block_unchecked(delta: Partition, xs, ys) -> dict[Partition, dict[Parti
         for y in ys:
             # the sorted triple, y inserted into the sorted pair
             key = (y, lo, hi) if y <= lo else (lo, y, hi) if y <= hi else (lo, hi, y)
-            g = values.get(key)
+            g = _values.get(key)
             if g is None:
                 if wx is None:
                     if weighted is None:
                         weighted = list(map(mul, size_column(n), column(delta)))
                     wx = list(map(mul, weighted, column(x)))
-                g = values[key] = _multiplicity(sum(map(mul, wx, column(y))), factorial(n), delta, x, y)
+                g = _values[key] = _multiplicity(sum(map(mul, wx, column(y))), factorial(n), delta, x, y)
             if g:
                 row[y] = g
     return block

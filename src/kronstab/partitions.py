@@ -5,8 +5,8 @@ The empty partition is ``()``.  All functions treat a partition of length
 is well defined for every ``k >= 1``.
 """
 
-from functools import cache, lru_cache
-from itertools import zip_longest
+from functools import lru_cache
+from itertools import groupby, zip_longest
 from math import comb, factorial, inf
 from operator import ge
 
@@ -75,6 +75,7 @@ def parse_partition(text: str) -> Partition:
     Grammar: comma-separated parts, each either an integer or ``k^m``
     meaning the part ``k`` repeated ``m`` times.  The single token ``-``
     denotes the empty partition.  Whitespace around tokens is ignored.
+    More than ``CELL_CAP`` parts raise ``SizeCapError`` before any is laid out.
 
     >>> parse_partition("2^3,1^4")
     (2, 2, 2, 1, 1, 1, 1)
@@ -86,26 +87,36 @@ def parse_partition(text: str) -> Partition:
     text = text.strip()
     if text in ("-", ""):
         return ()
-    parts: list[int] = []
+    runs: list[tuple[int, int]] = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             raise PartitionError(f"empty token in partition text {text!r}")
-        if "^" in token:
-            base, _, exp = token.partition("^")
-            try:
-                k, m = int(base), int(exp)
-            except ValueError:
-                raise PartitionError(f"bad token {token!r} in partition text") from None
-            if m < 0:
-                raise PartitionError(f"negative repeat count in token {token!r}")
-            parts.extend([k] * m)
-        else:
-            try:
-                parts.append(int(token))
-            except ValueError:
-                raise PartitionError(f"bad token {token!r} in partition text") from None
-    return check_partition(parts)
+        base, caret, exp = token.partition("^")
+        try:
+            k, m = int(base), int(exp) if caret else 1
+        except ValueError:
+            raise PartitionError(f"bad token {token!r} in partition text") from None
+        if m < 0:
+            raise PartitionError(f"negative repeat count in token {token!r}")
+        runs.append((k, m))
+    if (count := sum(m for _, m in runs)) > CELL_CAP:
+        raise over_cap(f"{count} parts of partition text {text!r}", CELL_CAP)
+    return check_partition([k for k, m in runs for _ in range(m)])
+
+
+def parse_double_partition(text: str) -> DoublePartition:
+    """Parse ``"plus;minus"``, each side in the partition grammar.
+
+    >>> parse_double_partition("2;2")
+    ((2,), (2,))
+    >>> parse_double_partition("1;-")
+    ((1,), ())
+    """
+    if not isinstance(text, str) or ";" not in text:
+        raise PartitionError(f"double partition needs a ';' separator, got {text!r}")
+    plus, _, minus = text.partition(";")
+    return parse_partition(plus), parse_partition(minus)
 
 
 def format_partition(lam: Partition) -> str:
@@ -118,19 +129,8 @@ def format_partition(lam: Partition) -> str:
     lam = check_partition(lam)
     if not lam:
         return "-"
-    out = []
-    i = 0
-    while i < len(lam):
-        j = i
-        while j < len(lam) and lam[j] == lam[i]:
-            j += 1
-        run = j - i
-        if run >= 3:
-            out.append(f"{lam[i]}^{run}")
-        else:
-            out.extend([str(lam[i])] * run)
-        i = j
-    return ",".join(out)
+    runs = [(str(part), len(list(run))) for part, run in groupby(lam)]
+    return ",".join(f"{p}^{m}" if m >= 3 else ",".join([p] * m) for p, m in runs)
 
 
 def format_double_partition(alpha: DoublePartition) -> str:
@@ -145,6 +145,16 @@ def format_triple(triple, double: bool = False) -> str:
     """Render three partitions, or three double partitions, as the CLI's
     triple."""
     return " / ".join(map(format_double_partition if double else format_partition, triple))
+
+
+def parse_triple(text: str, double: bool = False) -> tuple:
+    """Parse the CLI's triple: three partitions, or three double
+    partitions, separated by ``/``."""
+    parts = text.split("/")
+    if len(parts) != 3:
+        kind = "double partitions" if double else "partitions"
+        raise PartitionError(f"expected three '/'-separated {kind}, got {len(parts)}")
+    return tuple(map(parse_double_partition if double else parse_partition, parts))
 
 
 def check_triple(triple, double: bool, what: str = "") -> tuple:
@@ -170,7 +180,8 @@ def check_triple(triple, double: bool, what: str = "") -> tuple:
 
 # The most cells one call of conjugate, dim_sn, lr or schur_product_expand
 # lays out or loops over: each spends a step or a slot per box, or per
-# slot of lr's letter grid, so a huge part fails here at once.
+# slot of lr's letter grid, so a huge part fails here at once; and the
+# most parts parse_partition lays out, so a huge repeat count fails too.
 CELL_CAP = 1 << 15
 
 
@@ -246,13 +257,9 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
 def dim_sn(lam: Partition) -> int:
     """Dimension of the symmetric group irreducible of shape ``lam``
     (the number of standard tableaux), by the hook length formula, for
-    a size at most ``CELL_CAP``.  ``lam`` is validated before the cache
-    sees it, so a list works as well as a tuple."""
-    return _dim_sn(check_partition(lam))
-
-
-@cache
-def _dim_sn(lam: Partition) -> int:
+    a size at most ``CELL_CAP``.  ``lam`` is validated first, as a list
+    or a tuple."""
+    lam = check_partition(lam)
     _cap_boxes(lam)
     n = sum(lam)
     if n == 0:

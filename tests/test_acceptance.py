@@ -153,7 +153,7 @@ def test_criterion_5_pure_invariant_suites():
             for sigma in ps:
                 total = sum(table[(lam, rho)] * table[(lam, sigma)] for lam in ps)
                 assert total == (oracles.z_order(rho) if rho == sigma else 0)
-        clear_caches(n)
+        clear_caches()
     # Kronecker symmetry and the trivial/sign identities
     for n in range(2, 7):
         ps = partitions_of(n)

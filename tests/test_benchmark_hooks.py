@@ -17,9 +17,11 @@ from types import ModuleType
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import calltrace  # noqa: E402
+import run  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
 
@@ -114,3 +116,27 @@ def test_traced_hyperoct_sequence(tracer):
     assert tracer.stats["fixtures.d_real"][0] == 1
     assert tracer.stats["bounds.bound_hyperoct"][0] == 1
     assert tracer.stats["stabilization.sequence_term"][0] == 0
+
+
+def test_traced_workers_report_every_declared_metric():
+    # A traced run whose outputs all pass can still lose a per-layer
+    # metric: a traced or counted name that is gone is reported as
+    # unmeasured, and the run's last line lacks that metric.  Two traced
+    # workers, as the benchmark launches them, cover every layer: one
+    # table, and one query of each kind.
+    reference = workloads.load_reference()
+    mix = workloads.query_mix_inputs(0, reference)
+    queries = [next(q for q in mix if q["kind"] == kind) for kind in ("lr", "bounds")]
+    for kind in ("plethysm", "hyperoct"):
+        *args, expect = reference[kind][0]
+        queries.append({"kind": kind, "args": args, "expect": expect})
+    jobs = [
+        {"workload": "tables", "table": "3.6.2", "trace": True},
+        {"workload": "query-mix", "queries": queries, "trace": True},
+    ]
+    reports = [run.launch(job, run.worker_env()) for job in jobs]
+    assert [r["failed"] for r in reports] == [0, 0]
+    metrics, unmeasured = run.per_layer(reports, 1.0)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert unmeasured == []
+    assert sorted(metrics) == sorted(m["name"] for m in declared)

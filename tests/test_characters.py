@@ -71,7 +71,7 @@ def test_diagonal_orthogonality():
             assert sum(col[r] ** 2 for col in cols) == z_order(rho), rho
         for lam, col in zip(ps, cols):
             assert sum(size * v * v for size, v in zip(sizes, col)) == math.factorial(n), lam
-        clear_caches(n)
+        clear_caches()
 
 
 def test_sign_twist():
@@ -92,8 +92,6 @@ def test_trivial_and_sign_characters():
 def test_cache_eviction_preserves_values():
     lam, rho = (4, 2, 1), (3, 2, 1, 1)
     before = character(lam, rho)
-    clear_caches(7)
-    assert character(lam, rho) == before
     clear_caches()
     assert character(lam, rho) == before
 
@@ -113,26 +111,6 @@ def test_memo_keys_are_canonical():
         for mask, col in table.items():
             assert mask in masks, (degree, mask)
             assert len(col) in lengths, (degree, mask, len(col))
-
-
-def test_clear_one_degree_keeps_the_other_columns():
-    # Columns and class sizes are cleared together, for every degree or
-    # for one.
-    triple = (4, 3, 2), (3, 3, 3), (5, 2, 1, 1)
-    values = {rho: character((3, 2, 1), rho) for rho in partitions_of(6)}
-    kron(*triple)
-    clear_caches()
-    assert not _memo and not _size and not _row.cache_info().currsize
-    assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
-    kron(*triple)
-    assert 5 in _memo and 5 in _size
-    kept = {degree: {m: list(c) for m, c in table.items()} for degree, table in _memo.items() if degree != 5}
-    kept_sizes = {degree: list(s) for degree, s in _size.items() if degree != 5}
-    rows = _row.cache_info().currsize
-    clear_caches(5)
-    assert 5 not in _memo and 5 not in _size
-    assert _memo == kept and _size == kept_sizes and _row.cache_info().currsize == rows > 1
-    assert {rho: character((3, 2, 1), rho) for rho in partitions_of(6)} == values
 
 
 def test_rank_is_the_position_in_class_order():

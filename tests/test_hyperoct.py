@@ -8,12 +8,11 @@ from kronstab.hyperoct import (
     _lr_block,
     dim_wreath,
     hyperoct_coeff,
-    parse_double_partition,
     total_size,
 )
 from kronstab.kronecker import kron
 from kronstab.lr import _skew, schur_product_expand
-from kronstab.partitions import PartitionError, format_double_partition, partitions_of
+from kronstab.partitions import PartitionError, format_double_partition, parse_double_partition, partitions_of
 
 from oracles import wreath_character, wreath_tensor_oracle
 

@@ -17,11 +17,17 @@ from types import GenericAlias
 from typing import NamedTuple
 
 import kronstab
+from kronstab import cli
 
 P = (2, 1)
 D = ((2, 1), (1,))
 ONE_BOX = ((1,), (1,), (1,))
 HYPEROCT = (((1,), ()),) * 3
+
+# A repeat count this large makes laying out its parts fail at once,
+# instead of filling memory, should the parser ever do that before its cap.
+HUGE_COUNT = 10 ** 12
+HUGE_TEXT = f"1^{HUGE_COUNT}"
 
 # class: (bad partition, the value its message names)
 BAD_PARTS = {
@@ -38,6 +44,7 @@ BAD_TEXT = {
     "str part": ("a,1", "a"),
     "zero part": ("2,1,0", 0),
     "negative part": ("2,-1", -1),
+    "huge repeat": (HUGE_TEXT, HUGE_COUNT),
 }
 BAD_COUNTS = {"non-int count": 2.5, "bool count": True}
 
@@ -69,7 +76,7 @@ CALLS = {
     "bound_values": ("murnaghan", p, p, p),
     "character": (p, p),
     "check_partition": (p,),
-    "clear_caches": (count("degree", 3),),
+    "clear_caches": (),
     "conjugate": (p,),
     "d_real": ("murnaghan", base),
     "dim_gl": (p, count("m", 3)),
@@ -251,3 +258,26 @@ def test_huge_parts_hit_the_cap_before_any_allocation():
     assert failures == []
     assert kronstab.bound_values("murnaghan", H, H, H)["Dm"] == 0
     assert kronstab.bound_hyperoct(HD, HD, HD) == 0
+
+
+def test_huge_repeat_counts_hit_the_cap_before_any_allocation(capsys):
+    """The parsers sum the repeat counts of partition text before they
+    lay out a part, so a huge count fails at the same small cost as a
+    huge part, and so does the CLI that reads such text."""
+    failures = []
+    for name, call in {
+        "parse_partition": lambda: kronstab.parse_partition(HUGE_TEXT),
+        "parse_double_partition": lambda: kronstab.parse_double_partition(f"{HUGE_TEXT};1"),
+    }.items():
+        exc, peak = _traced_peak(call)
+        if not isinstance(exc, kronstab.SizeCapError) or str(HUGE_COUNT) not in str(exc) or peak > 1 << 16:
+            failures.append(f"{name}: peak {peak} B: {type(exc).__name__}: {exc}")
+    assert failures == []
+    # the first call compiles argparse's patterns, which the peak would count
+    assert cli.main(["kron", "1 / 1 / 1"]) == 0
+    capsys.readouterr()
+    codes = []
+    exc, peak = _traced_peak(lambda: codes.append(cli.main(["kron", f"{HUGE_TEXT} / {HUGE_TEXT} / {HUGE_TEXT}"])))
+    err = capsys.readouterr().err
+    assert (exc, codes) == (None, [1]) and peak <= 1 << 16
+    assert err == f"error: {HUGE_COUNT} parts of partition text {HUGE_TEXT!r} exceeds the desk-scale limit of 32768\n"

@@ -199,13 +199,13 @@ def test_every_order_of_a_triple_reads_one_cached_value(monkeypatch):
     triple = (4, 2), (3, 2, 1), (2, 2, 1, 1)
     first = kron(*triple)
     assert kron_block_unchecked(triple[0], [triple[1]], [triple[2]]) == {triple[1]: {triple[2]: first}}
-    assert kronecker._values[6] == {tuple(sorted(triple)): first}
+    assert kronecker._values == {tuple(sorted(triple)): first}
     # The other five orders read that entry: no column, no class sizes.
     fetched = _spy_columns(monkeypatch)
     monkeypatch.setattr(kronecker, "size_column", None)
     for d, x, y in itertools.permutations(triple):
         assert kron_block_unchecked(d, [x], [y]) == {x: {y: first}}
-    assert fetched == [] and len(kronecker._values[6]) == 1
+    assert fetched == [] and len(kronecker._values) == 1
 
 
 def test_cleared_values_are_computed_again(monkeypatch):
@@ -217,8 +217,5 @@ def test_cleared_values_are_computed_again(monkeypatch):
     assert kron_block_unchecked((2, 1), [(2, 1)], [(3,)]) == {(2, 1): {(3,): 1}}
     fetched = _spy_columns(monkeypatch)
     assert kron_block_unchecked(triple[0], [triple[1]], [triple[2]]) == block and fetched == []
-    assert clear_caches(4)["kronecker._values"] == 1 and list(kronecker._values) == [3]
-    assert kron_block_unchecked(triple[0], [triple[1]], [triple[2]]) == block and len(fetched) == 3
-    assert kron_block_unchecked((3,), [(2, 1)], [(2, 1)]) == {(2, 1): {(2, 1): 1}} and len(fetched) == 3
     assert clear_caches()["kronecker._values"] == 2 and not kronecker._values
-    assert kron_block_unchecked(triple[0], [triple[1]], [triple[2]]) == block and len(fetched) == 6
+    assert kron_block_unchecked(triple[0], [triple[1]], [triple[2]]) == block and len(fetched) == 3

@@ -14,7 +14,9 @@ from kronstab.partitions import (
     dim_gl,
     dim_sn,
     format_partition,
+    format_triple,
     parse_partition,
+    parse_triple,
     part_at,
     partitions_of,
 )
@@ -49,6 +51,17 @@ def test_parse_rejects_garbage():
     for bad in ("1,2", "0", "a", "2,,1", "3^0^1"):
         with pytest.raises(PartitionError):
             parse_partition(bad)
+    messages = {
+        "2^": "bad token '2^' in partition text",
+        "^2": "bad token '^2' in partition text",
+        "3^0^1": "bad token '3^0^1' in partition text",
+        "1^-1": "negative repeat count in token '1^-1'",
+        " , ": "empty token in partition text ','",
+    }
+    for bad, message in messages.items():
+        with pytest.raises(PartitionError) as info:
+            parse_partition(bad)
+        assert str(info.value) == message
 
 
 def test_format_examples():
@@ -57,9 +70,11 @@ def test_format_examples():
     assert format_partition((8, 5, 2)) == "8,5,2"
 
 
-@given(partitions)
-def test_parse_format_round_trip(lam):
+@given(partitions, partitions, partitions)
+def test_parse_format_round_trip(lam, mu, nu):
     assert parse_partition(format_partition(lam)) == lam
+    for double, triple in ((False, (lam, mu, nu)), (True, ((lam, mu), (mu, nu), (nu, lam)))):
+        assert parse_triple(format_triple(triple, double), double) == triple
 
 
 def test_check_partition_rejects():

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import doctest
 import importlib
 import os
 import pkgutil
@@ -193,7 +194,7 @@ def test_star_import_binds_no_modules():
 
 
 def test_clear_caches_empties_every_cache():
-    from kronstab import clear_caches, dim_sn, hyperoct_coeff, kron, lr, plethysm_coeff
+    from kronstab import clear_caches, hyperoct_coeff, kron, lr, plethysm_coeff
     from kronstab.characters import _memo, _size
     from kronstab.kronecker import _values
 
@@ -201,7 +202,6 @@ def test_clear_caches_empties_every_cache():
     lr((1,), (1,), (2,))
     hyperoct_coeff(((1,), (1,)), ((1,), (1,)), ((1, 1), ()))
     plethysm_coeff((2,), (2,), (4,))
-    dim_sn((3, 1))
     sizes = clear_caches()
     assert [name for name, size in sizes.items() if not size] == []
     assert sizes["characters._row"] > 1
@@ -212,6 +212,13 @@ def test_clear_caches_empties_every_cache():
     ]
     assert cached == []
     assert not _memo and not _size and not _values
+
+
+def test_docstring_examples_pass():
+    modules = [kronstab] + [importlib.import_module(f"kronstab.{m.name}") for m in pkgutil.iter_modules(kronstab.__path__)]
+    results = {module.__name__: doctest.testmod(module) for module in modules}
+    assert [name for name, result in results.items() if result.failed] == []
+    assert sum(result.attempted for result in results.values()) > 0
 
 
 def test_distribution_is_named_and_versioned_as_the_package():
