@@ -4,6 +4,7 @@ groups, with stabilization bounds derived from geometric invariant theory."""
 from types import ModuleType as _Module
 
 from .partitions import (
+    ConsistencyError,
     Partition,
     PartitionError,
     SizeCapError,
@@ -19,7 +20,7 @@ from .partitions import (
     partitions_of,
 )
 from .characters import character
-from .kronecker import ConsistencyError, kron, weak_stability_probe
+from .kronecker import kron, weak_stability_probe
 from .lr import lr, schur_product_expand
 from .plethysm import plethysm_coeff
 from .hyperoct import dim_wreath, hyperoct_coeff

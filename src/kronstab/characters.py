@@ -32,11 +32,7 @@ from itertools import accumulate
 from math import perm
 from operator import add, neg, sub
 
-from .partitions import Partition, PartitionError, check_partition, format_partition, over_cap
-
-# Above the north star's n = 48, where a cold ``kron`` takes a fraction of
-# a second; a full column of n holds p(n) values (p(50) = 204 226).
-KRON_SIZE_CAP = 50
+from .partitions import KRON_SIZE_CAP, Partition, PartitionError, check_partition, format_partition, over_cap
 
 # Character columns by degree (size of the shape), then shape mask: the
 # strip loop reads the columns of degree ``n - part`` as one table, and

@@ -17,7 +17,7 @@ Kronecker values shared by every block and computed only when missing.
 from itertools import product
 from math import comb
 
-from .partitions import DoublePartition, Partition, check_count, check_double_partition, contains, dim_sn, format_triple, over_cap, partitions_of, total_size
+from .partitions import KRON_SIZE_CAP, DoublePartition, Partition, check_count, check_double_partition, contains, dim_sn, format_triple, over_cap, partitions_of, total_size
 # ``kron`` and ``lr`` stay names here: perfbench traces ``hyperoct.kron``
 # and ``hyperoct.lr``.
 from .kronecker import kron, kron_block_unchecked
@@ -103,6 +103,8 @@ def hyperoct_coeff(
     """
     triple = [check_double_partition(x) for x in (alpha, beta, gamma)]
     check_count(size_cap, "size_cap")
+    if size_cap > KRON_SIZE_CAP:
+        raise over_cap(f"size_cap {size_cap}", KRON_SIZE_CAP)
     (ap, am), (bp, bm), (gp, gm) = triple
     n = total_size(gamma)
     if total_size(alpha) != n or total_size(beta) != n:

@@ -8,28 +8,11 @@ entry, and a block computes only its missing entries.
 from math import factorial
 from operator import mul
 
-# ConsistencyError is re-exported for existing importers; ``character``
-# stays a name here: perfbench traces ``kronecker.character``.
-from .partitions import ConsistencyError, Partition, check_count, check_triple, format_triple, over_cap
-from .characters import KRON_SIZE_CAP, character, column, size_column
+# ``character`` stays a name here: perfbench traces ``kronecker.character``.
+from .partitions import KRON_SIZE_CAP, Partition, check_count, check_direction, check_triple, exact_quotient, format_triple, over_cap
+from .characters import character, column, size_column
 
 _values: dict[tuple[Partition, Partition, Partition], int] = {}
-
-
-def _multiplicity(total: int, nfact: int, alpha, beta, gamma) -> int:
-    """The class sum ``total`` over ``nfact``, the factorial of the size:
-    the Kronecker coefficient of the triple, checked to be a nonnegative
-    integer."""
-    g, rem = divmod(total, nfact)
-    if rem:
-        raise ConsistencyError(
-            f"class sum {total} not divisible by {sum(alpha)}! for {alpha}, {beta}, {gamma}"
-        )
-    if g < 0:
-        raise ConsistencyError(
-            f"negative multiplicity {g} for {alpha}, {beta}, {gamma}"
-        )
-    return g
 
 
 def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
@@ -50,7 +33,7 @@ def kron(alpha: Partition, beta: Partition, gamma: Partition) -> int:
         for size, a, b, c in zip(size_column(n), column(alpha), column(beta), column(gamma))
         if a and b and c
     )
-    return _multiplicity(total, factorial(n), alpha, beta, gamma)
+    return exact_quotient(total, factorial(n), "Kronecker coefficient", alpha, beta, gamma)
 
 
 def kron_block_unchecked(delta: Partition, xs, ys) -> dict[Partition, dict[Partition, int]]:
@@ -79,7 +62,8 @@ def kron_block_unchecked(delta: Partition, xs, ys) -> dict[Partition, dict[Parti
                     if weighted is None:
                         weighted = list(map(mul, size_column(n), column(delta)))
                     wx = list(map(mul, weighted, column(x)))
-                g = _values[key] = _multiplicity(sum(map(mul, wx, column(y))), factorial(n), delta, x, y)
+                total = sum(map(mul, wx, column(y)))
+                g = _values[key] = exact_quotient(total, factorial(n), "Kronecker coefficient", delta, x, y)
             if g:
                 row[y] = g
     return block
@@ -98,7 +82,7 @@ def weak_stability_probe(
     probe, not a proof: passing every ``d`` up to the horizon does not
     certify weak stability.
     """
-    alpha, beta, gamma = check_triple((alpha, beta, gamma), False)
+    alpha, beta, gamma = check_direction((alpha, beta, gamma), "")
     check_count(horizon, "horizon", 1)
     scale = lambda lam, d: tuple(d * p for p in lam)
     for d in range(1, horizon + 1):

@@ -178,16 +178,41 @@ def check_triple(triple, double: bool, what: str = "") -> tuple:
     return triple
 
 
+def check_direction(direction, what: str = "direction ") -> tuple:
+    """``check_triple`` for the three partitions a Kronecker walk adds
+    once per step: they must have a positive size, or the terms would
+    never grow to the size cap that ends a long walk."""
+    direction = check_triple(direction, False, what)
+    if not direction[0]:
+        raise ValueError(f"{what}{format_triple(direction)} has size 0: a walk along it never grows")
+    return direction
+
+
 # The most cells one call of conjugate, dim_sn, lr or schur_product_expand
 # lays out or loops over: each spends a step or a slot per box, or per
 # slot of lr's letter grid, so a huge part fails here at once; and the
 # most parts parse_partition lays out, so a huge repeat count fails too.
 CELL_CAP = 1 << 15
+# The largest size of a Kronecker triple, a character or partitions_of:
+# above the north star's n = 48, where a cold ``kron`` takes a fraction of
+# a second; a full column of n, like the list of partitions of n, holds
+# p(n) values (p(50) = 204 226).
+KRON_SIZE_CAP = 50
 
 
 def over_cap(what: str, cap: int) -> SizeCapError:
     """The error for a request, described by ``what``, above the limit ``cap``."""
     return SizeCapError(f"{what} exceeds the desk-scale limit of {cap}")
+
+
+def exact_quotient(total: int, den: int, what: str, *inputs: Partition) -> int:
+    """``total // den``, checked to be an exact, nonnegative quotient;
+    otherwise a ``ConsistencyError`` names ``what`` and the partitions
+    ``inputs`` it was computed for, in the text grammar."""
+    quotient, rem = divmod(total, den)
+    if rem or quotient < 0:
+        raise ConsistencyError(f"{what} came out {total}/{den} for {format_triple(inputs)}")
+    return quotient
 
 
 def part_at(lam: Partition, k: int) -> int:
@@ -236,9 +261,11 @@ def _conjugate(lam: Partition) -> Partition:
 # typed, so that True and 2.0 do not read the entries of 1 and 2
 @lru_cache(maxsize=None, typed=True)
 def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
-    """All partitions of ``n`` (none if negative), largest part first, in
-    reverse lexicographic order.  Optionally bound the largest part."""
+    """All partitions of ``n``, at most ``KRON_SIZE_CAP`` (none if negative),
+    largest part first, in reverse lexicographic order; optionally of bounded largest part."""
     check_count(n, "n", -inf)
+    if n > KRON_SIZE_CAP:
+        raise over_cap(f"n = {n}", KRON_SIZE_CAP)
     if max_part is not None:
         check_count(max_part, "max_part", -inf)
     if n < 0:
@@ -269,10 +296,7 @@ def dim_sn(lam: Partition) -> int:
     for i, row in enumerate(lam):
         for j in range(row):
             hooks *= row - j + conj[j] - i - 1
-    d, rem = divmod(factorial(n), hooks)
-    if rem:
-        raise ConsistencyError(f"hook product {hooks} does not divide {n}! for {lam}")
-    return d
+    return exact_quotient(factorial(n), hooks, "dimension", lam)
 
 
 def dim_gl(lam: Partition, m: int) -> int:
@@ -299,8 +323,5 @@ def dim_gl(lam: Partition, m: int) -> int:
             den *= j - i
         num *= comb(a + m - i, m - l)
         den *= comb(m - i, m - l)
-    dim, rem = divmod(num, den)
-    if rem:
-        raise ConsistencyError(f"Weyl dimension {num}/{den} of {lam} for GL({m}) is not an integer")
-    return dim
+    return exact_quotient(num, den, f"GL({m}) dimension", lam)
 

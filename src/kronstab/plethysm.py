@@ -25,7 +25,7 @@ from math import factorial, gcd
 from operator import mul
 from typing import NamedTuple
 
-from .partitions import ConsistencyError, Partition, check_partition, format_partition, format_triple, over_cap, partitions_of
+from .partitions import Partition, check_partition, exact_quotient, format_partition, format_triple, over_cap, partitions_of
 # ``character`` stays a name here: perfbench traces ``plethysm.character``.
 from .characters import character, column, count, size_column
 
@@ -200,9 +200,4 @@ def plethysm_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     col = column(nu, (max(comp).bit_length() + BITS - 1) // BITS)
     index = _classes(deg)
     total = sum(c * col[index[code]] for code, c in comp.items())
-    coeff, rem = divmod(total, denom)
-    if rem or coeff < 0:
-        raise ConsistencyError(
-            f"plethysm coefficient came out {total}/{denom} for {format_triple((lam, mu, nu))}"
-        )
-    return coeff
+    return exact_quotient(total, denom, "plethysm coefficient", lam, mu, nu)

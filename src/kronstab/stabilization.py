@@ -19,7 +19,7 @@ established for hyperoctahedral sequences, so they are not checked.
 from typing import NamedTuple
 
 from . import bounds
-from .partitions import ConsistencyError, add_scaled, check_count, check_triple, format_triple
+from .partitions import ConsistencyError, add_scaled, check_count, check_direction, check_triple, format_triple
 from .kronecker import kron
 from .hyperoct import hyperoct_coeff
 
@@ -111,5 +111,5 @@ def empirical_scan(base, direction, horizon: int) -> StabilizationResult:
     reports the first index from which the computed values agree up to
     the horizon, with no claim beyond it."""
     check_count(horizon, "horizon")
-    seq = _sequence(base, direction, horizon)
+    seq = _sequence(base, check_direction(direction), horizon)
     return _result(seq, horizon, f"empirical (horizon {horizon})", certified=False)

@@ -182,6 +182,12 @@ def test_family_choices_are_the_registry():
         assert family.choices == list(FAMILIES)
 
 
+def test_dreal_refuses_a_direction_that_never_grows(capsys):
+    code, out, err = run(capsys, "dreal", "murnaghan", "2,1 / 2,1 / 2,1", "--direction", "- / - / -")
+    assert code == 1 and out == ""
+    assert err == "error: direction - / - / - has size 0: a walk along it never grows\n"
+
+
 def test_dreal_custom_direction_size_mismatch(capsys):
     code, out, err = run(capsys, "dreal", "murnaghan", "2,1/2,1/2,1", "--direction", "1/1/2")
     assert code == 1 and out == ""

@@ -114,6 +114,12 @@ def test_size_cap():
         "total size 21 of 6,5;5,5 / 6,5;5,5 / 6,5;5,5 exceeds the desk-scale limit of 20"
     )
     assert total_size(big) == 21
+    # size_cap raises the default, but not above the Kronecker cap
+    one = ((1,), ())
+    assert hyperoct_coeff(one, one, one, size_cap=50) == 1
+    with pytest.raises(SizeCapError) as err:
+        hyperoct_coeff(one, one, one, size_cap=51)
+    assert str(err.value) == "size_cap 51 exceeds the desk-scale limit of 50"
 
 
 def test_size_20_query_under_the_default_cap():

@@ -263,16 +263,20 @@ def test_huge_parts_hit_the_cap_before_any_allocation():
 def test_huge_repeat_counts_hit_the_cap_before_any_allocation(capsys):
     """The parsers sum the repeat counts of partition text before they
     lay out a part, so a huge count fails at the same small cost as a
-    huge part, and so does the CLI that reads such text."""
-    failures = []
-    for name, call in {
-        "parse_partition": lambda: kronstab.parse_partition(HUGE_TEXT),
-        "parse_double_partition": lambda: kronstab.parse_double_partition(f"{HUGE_TEXT};1"),
-    }.items():
+    huge part, and so does the CLI that reads such text; and
+    ``partitions_of`` refuses a size above ``KRON_SIZE_CAP`` before it
+    lists a partition."""
+    for name, call, named in (
+        ("parse_partition", lambda: kronstab.parse_partition(HUGE_TEXT), HUGE_COUNT),
+        ("parse_double_partition", lambda: kronstab.parse_double_partition(f"{HUGE_TEXT};1"), HUGE_COUNT),
+        # one past the cap first: should the cap be missing, the huge
+        # count would list partitions until memory ran out
+        ("partitions_of", lambda: kronstab.partitions_of(51), 51),
+        ("partitions_of", lambda: kronstab.partitions_of(HUGE_COUNT), HUGE_COUNT),
+    ):
         exc, peak = _traced_peak(call)
-        if not isinstance(exc, kronstab.SizeCapError) or str(HUGE_COUNT) not in str(exc) or peak > 1 << 16:
-            failures.append(f"{name}: peak {peak} B: {type(exc).__name__}: {exc}")
-    assert failures == []
+        ok = isinstance(exc, kronstab.SizeCapError) and _holds(str(exc), str(named)) and peak <= 1 << 16
+        assert ok, f"{name}: peak {peak} B: {type(exc).__name__}: {exc}"
     # the first call compiles argparse's patterns, which the peak would count
     assert cli.main(["kron", "1 / 1 / 1"]) == 0
     capsys.readouterr()

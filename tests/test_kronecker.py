@@ -149,6 +149,9 @@ def test_weak_stability_probe_rejects():
         weak_stability_probe((1,), (1,), (1,), 0)
     with pytest.raises(ValueError):
         weak_stability_probe((2,), (1,), (1,), 3)
+    # every probe of the empty triple is kron((), (), ()) = 1, at any horizon
+    with pytest.raises(ValueError, match=r"^- / - / - has size 0: a walk along it never grows$"):
+        weak_stability_probe((), (), (), 2)
 
 
 def test_block_equals_pointwise_kron():
@@ -169,9 +172,9 @@ def test_block_stores_no_zeros_and_keeps_every_row():
 
 @pytest.mark.parametrize("sizes, message", [
     # true class sizes of 3 are (1, 3, 2), in class order 1^3, (2,1), (3)
-    ((2, 3, 2), "class sum 14 not divisible by 3! for (2, 1), (2, 1), (2, 1)"),
-    ((1, 3, 14), "negative multiplicity -1 for (2, 1), (2, 1), (2, 1)"),
-])
+    ((2, 3, 2), "Kronecker coefficient came out 14/6 for 2,1 / 2,1 / 2,1"),
+    ((1, 3, 14), "Kronecker coefficient came out -6/6 for 2,1 / 2,1 / 2,1"),
+], ids=["remainder", "negative"])
 def test_block_and_kron_share_exactness_checks(monkeypatch, sizes, message):
     clear_caches()
     monkeypatch.setattr(kronecker, "size_column", lambda n: sizes)

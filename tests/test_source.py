@@ -31,8 +31,8 @@ def test_exactness_errors_raise_under_python_O():
     # not divide, and the certified D2 = 0 for 3,1 / 3,1 / 2,2, whose
     # squares sequence is 1, 2, 2, 2.
     code = (
-        "from kronstab.kronecker import _multiplicity\n"
-        "for call in (lambda: _multiplicity(7, 6, (3,), (3,), (3,)),\n"
+        "from kronstab.partitions import exact_quotient\n"
+        "for call in (lambda: exact_quotient(7, 6, 'Kronecker coefficient', (3,), (3,), (3,)),\n"
         "             lambda: kronstab.d_real('squares', ((3, 1), (3, 1), (2, 2)))):\n"
         "    try:\n"
         "        call()\n"
@@ -53,6 +53,20 @@ def test_only_partitions_builds_size_cap_errors():
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 if name == "SizeCapError" and path.name != "partitions.py":
                     found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_exact_divisions_checked_in_one_place():
+    # Every exactness check of a division goes through
+    # ``partitions.exact_quotient``, so all share one message form; the
+    # only other ``ConsistencyError`` is the decrease check of a sequence.
+    allowed = {("partitions.py", "exact_quotient"), ("stabilization.py", "_sequence")}
+    found = [
+        f"{file}:{node.lineno} {name}" for file, name, fn in _functions() if (file, name) not in allowed
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ConsistencyError"
+    ]
     assert found == []
 
 
@@ -229,11 +243,10 @@ def test_distribution_is_named_and_versioned_as_the_package():
 
 
 def test_exactness_errors_survive_optimisation():
-    from kronstab.kronecker import ConsistencyError as reexported
     from kronstab.partitions import ConsistencyError
     from kronstab.stabilization import CertificateViolationError
 
-    assert reexported is ConsistencyError is kronstab.ConsistencyError
+    assert ConsistencyError is kronstab.ConsistencyError
     for error in (ConsistencyError, CertificateViolationError):
         assert not issubclass(error, AssertionError)
 

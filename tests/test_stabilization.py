@@ -222,6 +222,9 @@ def test_invalid_inputs():
     # non-integers are named here, not by ``range`` deep inside
     with pytest.raises(ValueError, match=r"^horizon must be an integer of at least 0, got 2\.0$"):
         empirical_scan(((1,), (1,), (1,)), ONE_BOX, 2.0)
+    # every term along the empty direction is the base's, at any horizon
+    with pytest.raises(ValueError, match=r"^direction - / - / - has size 0: a walk along it never grows$"):
+        empirical_scan(((2, 1), (2, 1), (2, 1)), ((), (), ()), 5)
 
 
 def test_float_direction_part_is_named():
